@@ -41,7 +41,12 @@ DEFAULT_MAX_T = 10
 
 def _max_t_limit() -> int:
     value = os.environ.get("EQUILAT_MAX_T")
-    return int(value) if value else DEFAULT_MAX_T
+    if not value:
+        return DEFAULT_MAX_T
+    try:
+        return int(value)
+    except ValueError:
+        raise SurfaceError(f"EQUILAT_MAX_T={value!r} is not an integer") from None
 
 
 def _is_minimal(surface: GluedSurface) -> bool:
@@ -221,7 +226,10 @@ def count_table(T_max: int, workers: int = 1) -> list:
     rows = []
     for T in range(2, T_max + 1, 2):
         buckets = {}
-        for surface in enumerate_surfaces(T, workers=workers):
+        classes = enumerate_surfaces(T, workers=workers)
+        while classes:
+            # counted in any order; popping frees each class and its index
+            surface = classes.pop()
             g = euler_and_genus(surface).genus
             b = buckets.setdefault(g, {"count": 0, "tran": 0, "lb": 0,
                                        "hist": {}, "loops": 0})

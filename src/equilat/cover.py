@@ -18,6 +18,7 @@ from equilat.surface import (
     GluedSurface,
     SurfaceError,
     canonical_form,
+    connected_components,
     corner_vertex_map,
     euler_and_genus,
     vertex_orbits,
@@ -54,11 +55,8 @@ class Holonomy6:
     references: tuple
 
     def monodromy(self, surface: GluedSurface, vertex: int) -> int:
-        reports = vertex_orbits(surface)
-        total = 0
-        for c in reports[vertex].corners:
-            total += self.transitions[c]
-        return total % 6
+        corners = surface.index.vertices[vertex].corners
+        return sum(self.transitions[c] for c in corners) % 6
 
 
 def holonomy_cocycle(surface: GluedSurface) -> Holonomy6:
@@ -160,12 +158,10 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
         if crep.degree != lcm(base_reports[base_v].degree, 6):
             raise SurfaceError("cover vertex degree is not lcm(deg, 6)")
     # split into components, keeping the sheet content of each
-    comp_faces = _face_partition(total)
     m = sum(1 for rep in base_reports if rep.degree != 6)
     n_branch = sum(1 for rep in base_reports if rep.degree % 6 != 0)
     parts = []
-    for faces in comp_faces:
-        sub, face_index = _extract(total, faces)
+    for faces, sub in zip(total.index.components, connected_components(total)):
         if len(faces) % surface.face_count != 0:
             raise SurfaceError("component does not cover the base evenly")
         degree = len(faces) // surface.face_count
@@ -185,38 +181,6 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
         raise SurfaceError("component degrees do not sum to a degree-6 cover")
     parts.sort(key=lambda p: canonical_form(p.surface))
     return BranchedCover(surface, total, dart_map, tuple(parts), tuple(ram), h)
-
-
-def _face_partition(surface: GluedSurface) -> list:
-    T = surface.face_count
-    owner = [-1] * T
-    comps = []
-    for f0 in range(T):
-        if owner[f0] != -1:
-            continue
-        faces = [f0]
-        owner[f0] = len(comps)
-        stack = [f0]
-        while stack:
-            f = stack.pop()
-            for s in range(3):
-                f2 = surface.gluing[3 * f + s] // 3
-                if owner[f2] == -1:
-                    owner[f2] = owner[f0]
-                    faces.append(f2)
-                    stack.append(f2)
-        comps.append(sorted(faces))
-    return comps
-
-
-def _extract(surface: GluedSurface, faces) -> tuple:
-    index = {f: i for i, f in enumerate(faces)}
-    gluing = []
-    for f in faces:
-        for s in range(3):
-            p = surface.gluing[3 * f + s]
-            gluing.append(3 * index[p // 3] + p % 3)
-    return GluedSurface(len(faces), tuple(gluing)), index
 
 
 def _critical_count(total, cover_reports, cover_cv, dart_map, base_cv,

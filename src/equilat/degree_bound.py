@@ -253,7 +253,10 @@ def bounded_degree_map(surface: GluedSurface) -> DegreeBoundResult:
     high.sort(key=lambda r: r.vertex)
     blocks = [build_TH(r.degree) for r in high]
     stage2 = replace_stars(stage1, high, blocks) if high else stage1
-    result = subdivide(stage2, 3)
+    # provenance first, so that only the returned B(S) builds an index
+    result = subdivide(stage2, 3).with_provenance(
+        ("degree_bound", save_surface(surface), tuple((r.vertex, r.degree) for r in high))
+    )
     out_stats = euler_and_genus(result)
     if out_stats.genus != stats.genus:
         raise SurfaceError("replacement changed the genus; implementation bug")
@@ -263,9 +266,6 @@ def bounded_degree_map(surface: GluedSurface) -> DegreeBoundResult:
     out_neq6 = sum(1 for r in vertex_orbits(result) if r.degree != 6)
     denom = neq6 + stats.genus
     mu = out_neq6 / denom if denom else None
-    result = result.with_provenance(
-        ("degree_bound", save_surface(surface), tuple((r.vertex, r.degree) for r in high))
-    )
     return DegreeBoundResult(
         surface=result,
         stage1=stage1,
@@ -451,11 +451,7 @@ def check_tri_lb(surface: GluedSurface) -> LbCertificate:
 
 def _vertex_adjacency(surface: GluedSurface) -> list:
     cv = corner_vertex_map(surface)
-    nv = max(cv) + 1
-    adj = [set() for _ in range(nv)]
-    for d in range(surface.dart_count):
-        adj[cv[d]].add(cv[_head_corner(d)])
-    return adj
+    return [{cv[_head_corner(d)] for d in darts} for darts in surface.index.out_darts]
 
 
 @dataclass(frozen=True)
@@ -519,10 +515,7 @@ def th_center_candidates(surface: GluedSurface, vertices=None, d_max=None) -> di
                 continue
             if d not in th_cache:
                 block = build_TH(d)
-                center_corner = next(
-                    r.corners[0] for r in vertex_orbits(block.surface)
-                    if r.vertex == block.center
-                )
+                center_corner = block.surface.index.vertices[block.center].corners[0]
                 th_cache[d] = (block, center_corner, corner_vertex_map(block.surface))
             block, pc, pattern_cv = th_cache[d]
             if block.surface.face_count > surface.face_count:

@@ -71,12 +71,9 @@ def _check_input(surface: GluedSurface) -> tuple:
 
 def build_trajectories(surface: GluedSurface, st: TranslationStructure) -> TrajectoryComplex:
     """Fixpoints of the three inductive trajectory rules."""
-    _, reports, high = _check_input(surface)
+    _, _, high = _check_input(surface)
     cv = corner_vertex_map(surface)
-    nv = len(reports)
-    out_darts = [[] for _ in range(nv)]
-    for d in range(surface.dart_count):
-        out_darts[cv[d]].append(d)
+    out_darts = surface.index.out_darts
     high_set = set(high)
 
     def grow(weight_k: int, stop_at=None):
@@ -153,10 +150,7 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
         for d in e:
             if st.weights[d].k not in (1, 4):
                 raise SurfaceError("diagonal trajectory edge with wrong weight")
-    nv = len(reports)
-    out_darts = [[] for _ in range(nv)]
-    for d in range(surface.dart_count):
-        out_darts[cv[d]].append(d)
+    out_darts = surface.index.out_darts
     high_set = set(high)
     for v in high:
         for d in out_darts[v]:
@@ -178,7 +172,7 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
     runs = []
     seen_starts = set()
     for v in sorted(vb):
-        for d in sorted(out_darts[v]):
+        for d in out_darts[v]:
             if not in_a[d] or d in seen_starts:
                 continue
             darts = [d]

@@ -12,10 +12,12 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
     "GluedSurface",
+    "SurfaceIndex",
     "VertexReport",
     "SurfaceStats",
     "load_surface",
@@ -43,7 +45,8 @@ class GluedSurface:
 
     gluing[d] is the partner dart of d, or -1 when d is a boundary edge.
     Instances are immutable after validation; all operations on them are
-    pure functions.
+    pure functions.  The combinatorial index is built on first use and
+    cached on the instance; it is left out of ==, hash, repr and pickles.
     """
 
     face_count: int
@@ -81,10 +84,20 @@ class GluedSurface:
         return [d for d, p in enumerate(self.gluing) if p == BOUNDARY]
 
     def is_connected(self) -> bool:
-        return len(_face_components(self)) == 1
+        return len(self.index.components) == 1
 
     def with_provenance(self, provenance: tuple) -> "GluedSurface":
         return GluedSurface(self.face_count, self.gluing, provenance)
+
+    @cached_property
+    def index(self) -> "SurfaceIndex":
+        # The gluing never changes, so the cache never needs invalidating.
+        return _build_index(self.gluing)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("index", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -127,58 +140,104 @@ def _rotate_corner(surface: GluedSurface, corner: int) -> int:
     return _head_corner(p) if p != BOUNDARY else BOUNDARY
 
 
-def vertex_orbits(surface: GluedSurface) -> list:
-    """Vertex orbits of corners, each listed in rotation order.
+class SurfaceIndex(NamedTuple):
+    """Combinatorial facts of one gluing, computed together on first use.
 
-    A corner orbit is a cycle (interior vertex) or a path whose first
-    corner has an unmatched incoming dart (boundary vertex).
+    vertices[v] is the VertexReport of vertex v, vertices numbered by their
+    smallest corner; corner_vertex[c] is the vertex at corner c; out_darts[v]
+    lists the darts leaving v in ascending order (dart d leaves the vertex
+    at corner d); components lists the faces of each connected component in
+    ascending order, components ordered by their smallest face.
     """
-    n = surface.dart_count
-    seen = [False] * n
-    raw = []
+
+    vertices: tuple
+    corner_vertex: tuple
+    out_darts: tuple
+    components: tuple
+
+
+def _build_index(gluing: tuple) -> SurfaceIndex:
+    n = len(gluing)
+    closed = BOUNDARY not in gluing
+    corner_vertex = [-1] * n
+    vertices = []
+    out_darts = []
     for c0 in range(n):
-        if seen[c0]:
+        if corner_vertex[c0] != -1:
             continue
-        # Rewind to the start of the fan: follow incoming darts backwards
-        # until hitting the boundary or coming full circle.
+        # The upward scan meets each orbit at its smallest corner, so vertex
+        # ids follow smallest corners.  On a closed surface the rotation
+        # c -> head corner of gluing[c] is a permutation and the orbit is
+        # listed from c0; with boundary, rewind along incoming darts to the
+        # start of the fan.
         start = c0
-        while True:
-            p = surface.gluing[_incoming_dart(start)]
+        while not closed:
+            p = gluing[_incoming_dart(start)]
             if p == BOUNDARY:
                 break
-            prev = p  # incoming dart glued to p, so the previous corner is p's tail
-            if prev == c0:
+            if p == c0:  # full circle: an interior vertex
                 start = c0
                 break
-            start = prev
+            start = p  # the previous corner is the tail of p
+        v = len(vertices)
         corners = []
         c = start
         boundary = False
         while True:
             corners.append(c)
-            seen[c] = True
-            c = _rotate_corner(surface, c)
-            if c == BOUNDARY:
+            corner_vertex[c] = v
+            p = gluing[c]
+            if p == BOUNDARY:
                 boundary = True
                 break
+            c = p - 2 if p % 3 == 2 else p + 1
             if c == start:
                 break
-        raw.append((boundary, corners))
-    raw.sort(key=lambda item: min(item[1]))
-    reports = []
-    for v, (boundary, corners) in enumerate(raw):
         degree = len(corners) + 1 if boundary else len(corners)
-        reports.append(VertexReport(v, degree, boundary, tuple(corners)))
-    return reports
+        vertices.append(VertexReport(v, degree, boundary, tuple(corners)))
+        out_darts.append(tuple(sorted(corners)))
+    return SurfaceIndex(tuple(vertices), tuple(corner_vertex), tuple(out_darts),
+                        _face_components(gluing))
+
+
+def _face_components(gluing) -> tuple:
+    T = len(gluing) // 3
+    comp = [-1] * T
+    comps = []
+    for f0 in range(T):
+        if comp[f0] != -1:
+            continue
+        faces = [f0]
+        comp[f0] = len(comps)
+        stack = [f0]
+        while stack:
+            f = stack.pop()
+            for s in range(3):
+                p = gluing[3 * f + s]
+                if p == BOUNDARY:
+                    continue
+                f2 = p // 3
+                if comp[f2] == -1:
+                    comp[f2] = len(comps)
+                    faces.append(f2)
+                    stack.append(f2)
+        comps.append(tuple(sorted(faces)))
+    return tuple(comps)
+
+
+def vertex_orbits(surface: GluedSurface) -> list:
+    """Vertex orbits of corners, each listed in rotation order.
+
+    A corner orbit is a cycle (interior vertex) or a path whose first
+    corner has an unmatched incoming dart (boundary vertex).  Returns a
+    fresh list over the surface's cached index.
+    """
+    return list(surface.index.vertices)
 
 
 def corner_vertex_map(surface: GluedSurface) -> list:
     """corner -> vertex id, consistent with vertex_orbits numbering."""
-    out = [0] * surface.dart_count
-    for rep in vertex_orbits(surface):
-        for c in rep.corners:
-            out[c] = rep.vertex
-    return out
+    return list(surface.index.corner_vertex)
 
 
 def _boundary_cycles(surface: GluedSurface) -> list:
@@ -216,7 +275,7 @@ def euler_and_genus(surface: GluedSurface) -> SurfaceStats:
     matched = sum(1 for p in surface.gluing if p != BOUNDARY)
     unmatched = 3 * T - matched
     E = matched // 2 + unmatched
-    V = len(vertex_orbits(surface))
+    V = len(surface.index.vertices)
     chi = V - E + T
     b = len(_boundary_cycles(surface))
     genus2 = 2 - chi - b
@@ -233,35 +292,10 @@ def euler_and_genus(surface: GluedSurface) -> SurfaceStats:
     return SurfaceStats(V, E, T, chi, g, b)
 
 
-def _face_components(surface: GluedSurface) -> list:
-    T = surface.face_count
-    comp = [-1] * T
-    comps = []
-    for f0 in range(T):
-        if comp[f0] != -1:
-            continue
-        faces = [f0]
-        comp[f0] = len(comps)
-        stack = [f0]
-        while stack:
-            f = stack.pop()
-            for s in range(3):
-                p = surface.gluing[3 * f + s]
-                if p == BOUNDARY:
-                    continue
-                f2 = p // 3
-                if comp[f2] == -1:
-                    comp[f2] = len(comps)
-                    faces.append(f2)
-                    stack.append(f2)
-        comps.append(sorted(faces))
-    return comps
-
-
 def connected_components(surface: GluedSurface) -> list:
     """Split into connected surfaces, faces renumbered in ascending order."""
     parts = []
-    for faces in _face_components(surface):
+    for faces in surface.index.components:
         index = {f: i for i, f in enumerate(faces)}
         gluing = []
         for f in faces:
@@ -551,7 +585,7 @@ def random_surface(T: int, seed: int, max_retries: int = 100000) -> GluedSurface
             b = darts.pop(rng.randrange(len(darts)))
             gluing[a] = b
             gluing[b] = a
-        surface = GluedSurface(T, tuple(gluing))
-        if surface.is_connected():
-            return surface
+        # tested on the bare gluing, so a rejected draw builds no index
+        if len(_face_components(gluing)) == 1:
+            return GluedSurface(T, tuple(gluing))
     raise SurfaceError("exceeded retry limit while sampling a connected surface")

@@ -38,6 +38,9 @@ __all__ = [
 
 MAX_LB_DEGREE = 42
 
+# The six sixth roots, shared by every structure (Root6 is immutable).
+_ROOTS6 = tuple(Root6(k) for k in range(6))
+
 
 @dataclass(frozen=True)
 class TranslationStructure:
@@ -52,7 +55,7 @@ class TranslationStructure:
         return self.weights[dart].to_eisenstein()
 
     def rotate(self, steps: int) -> "TranslationStructure":
-        return TranslationStructure(tuple(w.rotate(steps) for w in self.weights))
+        return TranslationStructure(tuple(_ROOTS6[(w.k + steps) % 6] for w in self.weights))
 
 
 def detect_structures(surface: GluedSurface) -> list:
@@ -84,7 +87,7 @@ def detect_structures(surface: GluedSurface) -> list:
             elif phase[f2] != forced:
                 return []
     base = TranslationStructure(
-        tuple(Root6(phase[d // 3] + 2 * (d % 3)) for d in range(3 * T))
+        tuple(_ROOTS6[(phase[d // 3] + 2 * (d % 3)) % 6] for d in range(3 * T))
     )
     for rep in vertex_orbits(surface):
         assert rep.degree % 6 == 0, "translation structure at a non-flat vertex"
@@ -132,13 +135,9 @@ def build_period_map(surface: GluedSurface, st: TranslationStructure,
     if not surface.is_connected():
         raise SurfaceError("period map requires a connected surface")
     cv = corner_vertex_map(surface)
-    nv = max(cv) + 1
-    # one representative dart per undirected edge
-    out_darts = [[] for _ in range(nv)]
-    for d in range(surface.dart_count):
-        out_darts[cv[d]].append(d)
+    out_darts = surface.index.out_darts
     base = 0 if base_vertex is None else base_vertex
-    potentials = [None] * nv
+    potentials = [None] * len(out_darts)
     potentials[base] = ZERO
     tree_edges = set()
     queue = [base]

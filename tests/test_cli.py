@@ -100,6 +100,15 @@ def test_census_command(capsys, tmp_path):
     assert lines[0] == "T,genus,count,tran_count,lb_count"
 
 
+def test_census_rejects_non_integer_max_t(capsys, monkeypatch):
+    monkeypatch.setenv("EQUILAT_MAX_T", "abc")
+    code = main(["census", "--tmax", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: EQUILAT_MAX_T='abc'")
+    assert captured.out.strip().splitlines()[-1].startswith("RESULT: fail EQUILAT_MAX_T")
+
+
 def test_error_exits_nonzero(capsys, tmp_path):
     bad = tmp_path / "bad.tsf"
     bad.write_text("garbage")

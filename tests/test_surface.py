@@ -1,8 +1,17 @@
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import equilat.surface
+from equilat.degree_bound import (
+    bounded_degree_map,
+    build_TD,
+    build_TH,
+    check_tri_lb,
+    separation_check,
+)
 from equilat.surface import (
     BOUNDARY,
     GluedSurface,
@@ -10,6 +19,7 @@ from equilat.surface import (
     canonical_form,
     conformal_double,
     connected_components,
+    corner_vertex_map,
     euler_and_genus,
     load_canonical_form,
     load_surface,
@@ -143,3 +153,167 @@ def test_gluing_validation():
         GluedSurface(2, (3, 4, 5, 0, 1, 1))  # not an involution
     with pytest.raises(SurfaceError):
         GluedSurface(2, (0, 4, 5, 3, 1, 2))  # fixed point
+
+
+# --- the cached index against an independent oracle --------------------------
+
+def _orbit_oracle(gluing):
+    """Vertex orbits by walking the rotation sigma(c) = head corner of gluing[c].
+
+    Fans (boundary vertices) start at the corner sigma does not reach; the
+    remaining corners lie on cycles, listed from their smallest corner.
+    Vertices are numbered by smallest corner.
+    """
+    sigma = {c: 3 * (p // 3) + (p % 3 + 1) % 3
+             for c, p in enumerate(gluing) if p != BOUNDARY}
+    reached = set(sigma.values())
+    orbits = []
+    for c in range(len(gluing)):
+        if c not in reached:
+            fan = [c]
+            while fan[-1] in sigma:
+                fan.append(sigma[fan[-1]])
+            orbits.append((True, fan))
+    covered = {c for _, fan in orbits for c in fan}
+    for c in range(len(gluing)):
+        if c not in covered:
+            cycle = [c]
+            while sigma[cycle[-1]] != c:
+                cycle.append(sigma[cycle[-1]])
+            covered.update(cycle)
+            orbits.append((False, cycle))
+    orbits.sort(key=lambda item: min(item[1]))
+    return [(v, len(corners) + boundary, boundary, tuple(corners))
+            for v, (boundary, corners) in enumerate(orbits)]
+
+
+def _component_oracle(gluing):
+    """Face sets of the components, by merging labels across every edge."""
+    label = list(range(len(gluing) // 3))
+    changed = True
+    while changed:
+        changed = False
+        for d, p in enumerate(gluing):
+            if p != BOUNDARY:
+                low = min(label[d // 3], label[p // 3])
+                for f in (d // 3, p // 3):
+                    if label[f] != low:
+                        label[f], changed = low, True
+    groups = {}
+    for f, root in enumerate(label):
+        groups.setdefault(root, []).append(f)
+    return [tuple(faces) for _, faces in sorted(groups.items())]
+
+
+def _check_index(surface):
+    gluing = surface.gluing
+    reports = vertex_orbits(surface)
+    assert [(r.vertex, r.degree, r.boundary, r.corners) for r in reports] == \
+        _orbit_oracle(gluing)
+    cv = corner_vertex_map(surface)
+    assert all(cv[c] == r.vertex for r in reports for c in r.corners)
+    assert list(surface.index.out_darts) == \
+        [tuple(d for d in range(len(gluing)) if cv[d] == r.vertex) for r in reports]
+    components = _component_oracle(gluing)
+    assert list(surface.index.components) == components
+    assert surface.is_connected() == (len(components) == 1)
+    parts = connected_components(surface)
+    assert [p.face_count for p in parts] == [len(faces) for faces in components]
+    for part, faces in zip(parts, components):
+        new = {f: i for i, f in enumerate(faces)}
+        for i, f in enumerate(faces):
+            for s in range(3):
+                p = gluing[3 * f + s]
+                q = part.gluing[3 * i + s]
+                assert q == (BOUNDARY if p == BOUNDARY else 3 * new[p // 3] + p % 3)
+
+
+def _pair_up(order):
+    gluing = [BOUNDARY] * len(order)
+    for a, b in zip(order[0::2], order[1::2]):
+        gluing[a], gluing[b] = b, a
+    return tuple(gluing)
+
+
+# random pairings of 6h darts: closed gluings of 2h faces, often disconnected
+closed_gluings = st.integers(min_value=1, max_value=8).flatmap(
+    lambda h: st.permutations(range(6 * h))).map(_pair_up)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_gluings)
+def test_index_matches_oracle_on_closed_gluings(gluing):
+    surface = GluedSurface(len(gluing) // 3, gluing)
+    _check_index(surface)
+    _check_index(subdivide(surface, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_gluings, st.randoms(use_true_random=False))
+def test_index_matches_oracle_with_boundary(gluing, rng):
+    cut = list(gluing)
+    for d in rng.sample(range(len(cut)), rng.randrange(1, len(cut) + 1)):
+        if cut[d] != BOUNDARY:
+            cut[cut[d]] = cut[d] = BOUNDARY
+    _check_index(GluedSurface(len(cut) // 3, tuple(cut)))
+
+
+DISK = GluedSurface(1, (BOUNDARY,) * 3)
+BORDERED = ([build_TD(d).surface for d in range(2, 12)]
+            + [build_TH(d).surface for d in (8, 9, 15, 16, 31, 64)]
+            + [DISK] + [subdivide(DISK, k) for k in range(2, 7)])
+
+
+@pytest.mark.parametrize("surface", BORDERED, ids=range(len(BORDERED)))
+def test_index_matches_oracle_on_bordered_blocks(surface):
+    _check_index(surface)
+
+
+def test_components_of_disconnected_gluings(hex_torus, pillowcase):
+    both = GluedSurface(5, hex_torus.gluing + tuple(p + 6 for p in pillowcase.gluing)
+                        + DISK.gluing)
+    _check_index(both)
+    assert both.index.components == ((0, 1), (2, 3), (4,))
+
+
+def test_returned_lists_are_copies(pillowcase):
+    surface = GluedSurface(pillowcase.face_count, pillowcase.gluing)
+    reports, cv = vertex_orbits(surface), corner_vertex_map(surface)
+    parts = connected_components(surface)
+    reports.clear()
+    cv[0] = 99
+    parts.append(None)
+    assert len(vertex_orbits(surface)) == 3
+    assert corner_vertex_map(surface)[0] == 0
+    assert len(connected_components(surface)) == 1
+
+
+def test_cache_is_invisible_to_eq_hash_repr_and_pickle():
+    fresh = random_surface(10, 4)
+    used = GluedSurface(fresh.face_count, fresh.gluing)
+    euler_and_genus(used)
+    assert "index" in vars(used) and "index" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(used))
+    assert back == used and "index" not in vars(back)
+    assert back.index == used.index
+
+
+def test_index_is_built_once_per_surface(monkeypatch):
+    built = []
+    original = equilat.surface._build_index
+
+    def counting(gluing):
+        built.append(gluing)
+        return original(gluing)
+
+    monkeypatch.setattr(equilat.surface, "_build_index", counting)
+    surface = random_surface(6, 11)
+    result = bounded_degree_map(surface)
+    cert = check_tri_lb(result.surface)
+    separation_check(result.surface, cert)
+    euler_and_genus(result.surface)
+    euler_and_genus(surface)
+    assert len({id(g) for g in built}) == len(built)
+    assert any(g is result.surface.gluing for g in built)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equilat.eisenstein import Eisenstein
+from equilat.eisenstein import Eisenstein, Root6
 from equilat.surface import (
     GluedSurface,
     SurfaceError,
@@ -12,6 +12,7 @@ from equilat.surface import (
 )
 from equilat.translation import (
     MAX_LB_DEGREE,
+    TranslationStructure,
     build_period_map,
     detect_structures,
     edge_path_period,
@@ -45,6 +46,37 @@ def test_zero_or_six_structures(seed):
     for s in structures:
         for rep in vertex_orbits(surface):
             assert rep.degree % 6 == 0
+
+
+def _structure_from_rules(surface, k0):
+    """The structure with zeta^k0 on dart 0, from the two defining rules and
+    freshly built Root6 values: sides of a face differ by zeta^2 counter-
+    clockwise, and the two ends of an edge are opposite."""
+    weights = [None] * surface.dart_count
+    weights[0:3] = [Root6(k0 + 2 * s) for s in range(3)]
+    stack = [0]
+    while stack:
+        f = stack.pop()
+        for s in range(3):
+            p = surface.gluing[3 * f + s]
+            if weights[p] is None:
+                k = weights[3 * f + s].k + 3
+                f2, s2 = divmod(p, 3)
+                for t in range(3):
+                    weights[3 * f2 + t] = Root6(k + 2 * (t - s2))
+                stack.append(f2)
+    return TranslationStructure(tuple(weights))
+
+
+def test_structures_equal_fresh_root6_construction(census8):
+    found = 0
+    for T in (2, 4, 6):
+        for surface in census8[T]:
+            structures = detect_structures(surface)
+            if structures:
+                found += 1
+                assert structures == [_structure_from_rules(surface, k) for k in range(6)]
+    assert found > 0
 
 
 def test_face_types_bipartition(hex_torus):
