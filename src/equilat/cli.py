@@ -36,7 +36,7 @@ from equilat.census import count_table, enumerate_surfaces, write_table
 
 
 def _load(path: str) -> GluedSurface:
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # load_surface reports non-ASCII bytes by line
         return load_surface(fh.read())
 
 

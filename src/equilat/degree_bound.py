@@ -141,11 +141,8 @@ def build_TH(d: int) -> TriangulatedDisk:
         faces.append(((last, t), (last, (t + 1) % sizes[last]), center))
     surface, labels = surface_from_faces(faces)
     lv = _label_to_vertex(surface, labels)
-    directed_first = {}
-    for f, tri in enumerate(faces):
-        for s in range(3):
-            directed_first[(tri[s], tri[(s + 1) % 3])] = 3 * f + s
-    boundary = tuple(directed_first[((0, t), (0, (t + 1) % d))] for t in range(d))
+    # side 0 of inward face t < d runs (0,t) -> (0,t+1), as in build_TD
+    boundary = tuple(3 * t for t in range(d))
     layers = tuple(tuple(lv[(i, j)] for j in range(sizes[i])) for i in range(len(sizes)))
     return TriangulatedDisk(surface, "TH", d, lv[center], boundary, layers)
 
@@ -286,13 +283,12 @@ def recover_original(surface: GluedSurface) -> GluedSurface:
 # --- pattern matching and coarsening ----------------------------------------
 
 def match_pattern(pattern: GluedSurface, target: GluedSurface,
-                  pattern_dart: int, target_dart: int,
-                  injective: bool = True) -> Optional[dict]:
+                  pattern_dart: int, target_dart: int) -> Optional[dict]:
     """Simplicial map pattern -> target with the given dart correspondence.
 
     Interior gluings of the pattern must map to gluings of the target; the
     pattern's boundary is unconstrained.  Returns {pattern face: (target
-    face, rotation)} or None when no consistent (injective) map exists.
+    face, rotation)} or None when no consistent injective map exists.
     """
     pf0, ps0 = divmod(pattern_dart, 3)
     tf0, ts0 = divmod(target_dart, 3)
@@ -315,7 +311,7 @@ def match_pattern(pattern: GluedSurface, target: GluedSurface,
                 if assign[pf2] != want:
                     return None
             else:
-                if injective and want[0] in used:
+                if want[0] in used:
                     return None
                 assign[pf2] = want
                 used.add(want[0])
@@ -489,27 +485,21 @@ def separation_check(surface: GluedSurface, cert: LbCertificate) -> SeparationRe
     return SeparationReport(ok, min_dist if min_dist is not None else None, all_macro)
 
 
-def th_center_candidates(surface: GluedSurface, vertices=None, d_max=None) -> dict:
+def th_center_candidates(surface: GluedSurface) -> dict:
     """Plausible TH_d boundary sizes per candidate center vertex.
 
     A vertex of interior degree 4..7 could be the fan center of an
     embedded TH_d; each matching d is reported.  On replacement output
     the candidate set has size at most two.
     """
-    reports = vertex_orbits(surface)
-    if vertices is not None:
-        wanted = set(vertices)
-        reports = [r for r in reports if r.vertex in wanted]
-    else:
-        reports = [r for r in reports if not r.boundary and 4 <= r.degree <= 7]
-    if d_max is None:
-        d_max = surface.face_count  # faces(TH_d) > d, so larger d cannot embed
+    reports = [r for r in vertex_orbits(surface) if not r.boundary and 4 <= r.degree <= 7]
     out = {}
     th_cache = {}
     target_cv = corner_vertex_map(surface)
     for rep in reports:
         found = set()
-        for d in range(8, d_max + 1):
+        # faces(TH_d) > d, so larger d cannot embed
+        for d in range(8, surface.face_count + 1):
             sizes = th_layer_sizes(d)
             if sizes[-1] != rep.degree:
                 continue

@@ -14,8 +14,10 @@ from typing import Optional
 
 from equilat.eisenstein import ZERO
 from equilat.surface import (
+    BOUNDARY,
     GluedSurface,
     SurfaceError,
+    _boundary_cycles,
     _head_corner,
     corner_vertex_map,
     euler_and_genus,
@@ -193,32 +195,25 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
             covered.add(frozenset((d, surface.gluing[d])))
     if covered != A.edges:
         raise SurfaceError("maximal runs do not cover the trajectory complex exactly")
-    # complementary regions: flood fill across non-A edges
-    owner = [-1] * surface.face_count
-    regions = []
-    for f0 in range(surface.face_count):
-        if owner[f0] != -1:
-            continue
-        rid = len(regions)
-        faces = [f0]
-        owner[f0] = rid
-        stack = [f0]
-        while stack:
-            f = stack.pop()
-            for s in range(3):
-                d = 3 * f + s
-                if in_a[d]:
-                    continue
-                f2 = surface.gluing[d] // 3
-                if owner[f2] == -1:
-                    owner[f2] = rid
-                    faces.append(f2)
-                    stack.append(f2)
-        regions.append(faces)
+    # complementary regions: the components of S cut along A, each bounded
+    # by the one boundary cycle of the cut surface that lies in it
+    cut = GluedSurface(surface.face_count, tuple(
+        BOUNDARY if in_a[d] else p for d, p in enumerate(surface.gluing)))
+    components = cut.index.components
+    region_of = [0] * surface.face_count
+    for rid, faces in enumerate(components):
+        for f in faces:
+            region_of[f] = rid
+    walks = [[] for _ in components]
+    for cycle in _boundary_cycles(cut):
+        walks[region_of[cycle[0] // 3]].append(tuple(cycle))
     region_objs = []
-    for rid, faces in enumerate(regions):
-        boundary = _region_boundary(surface, in_a, faces)
-        region_objs.append(Region(rid, tuple(sorted(faces)), boundary))
+    for rid, faces in enumerate(components):
+        if not walks[rid]:
+            raise SurfaceError("region without boundary; trajectory complex is empty here")
+        if len(walks[rid]) > 1:
+            raise SurfaceError("region boundary is not a single closed walk")
+        region_objs.append(Region(rid, faces, walks[rid][0]))
     # relative periods between polytope vertices lie in the index-9 sublattice
     pm = build_period_map(surface, st, base_vertex=min(vb))
     base = pm.potentials[min(vb)]
@@ -226,35 +221,6 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
         if not (pm.potentials[v] - base).in_sublattice(3):
             raise SurfaceError(f"polytope vertex {v} at period outside 3Z+3wZ")
     return PolytopeB(frozenset(vb), tuple(runs), tuple(region_objs), A)
-
-
-def _region_boundary(surface: GluedSurface, in_a, faces) -> tuple:
-    """The closed boundary walk of a region, region faces on the left."""
-    face_set = set(faces)
-    boundary = [3 * f + s for f in faces for s in range(3) if in_a[3 * f + s]]
-    if not boundary:
-        raise SurfaceError("region without boundary; trajectory complex is empty here")
-    remaining = set(boundary)
-    start = min(remaining)
-    walk = []
-    d = start
-    while True:
-        walk.append(d)
-        remaining.discard(d)
-        f, s = divmod(d, 3)
-        e = 3 * f + (s + 1) % 3
-        while not in_a[e]:
-            p = surface.gluing[e]
-            if p // 3 not in face_set:
-                raise SurfaceError("boundary walk left the region; inconsistent complex")
-            f, s = divmod(p, 3)
-            e = 3 * f + (s + 1) % 3
-        d = e
-        if d == start:
-            break
-    if remaining:
-        raise SurfaceError("region boundary is not a single closed walk")
-    return tuple(walk)
 
 
 @dataclass(frozen=True)

@@ -134,17 +134,13 @@ def _incoming_dart(corner: int) -> int:
     return 3 * f + (s + 2) % 3
 
 
-def _rotate_corner(surface: GluedSurface, corner: int) -> int:
-    """Next corner around the same vertex, through the outgoing dart."""
-    p = surface.gluing[corner]
-    return _head_corner(p) if p != BOUNDARY else BOUNDARY
-
-
 class SurfaceIndex(NamedTuple):
     """Combinatorial facts of one gluing, computed together on first use.
 
     vertices[v] is the VertexReport of vertex v, vertices numbered by their
-    smallest corner; corner_vertex[c] is the vertex at corner c; out_darts[v]
+    smallest corner; a boundary vertex's corners run from the corner whose
+    incoming dart is unmatched to the corner whose outgoing dart is
+    unmatched.  corner_vertex[c] is the vertex at corner c; out_darts[v]
     lists the darts leaving v in ascending order (dart d leaves the vertex
     at corner d); components lists the faces of each connected component in
     ascending order, components ordered by their smallest face.
@@ -241,22 +237,21 @@ def corner_vertex_map(surface: GluedSurface) -> list:
 
 
 def _boundary_cycles(surface: GluedSurface) -> list:
-    """Boundary components as cycles of boundary darts."""
-    pending = set(surface.boundary_darts())
+    """Boundary components as cycles of boundary darts, each from its smallest."""
+    ix = surface.index
+    seen = set()
     cycles = []
-    while pending:
-        d0 = min(pending)
+    for d0 in surface.boundary_darts():
+        if d0 in seen:
+            continue
         cycle = []
         d = d0
         while True:
             cycle.append(d)
-            pending.discard(d)
-            # Walk the fan at the head of d to the corner whose outgoing
-            # dart is unmatched; that dart continues the boundary.
-            c = _head_corner(d)
-            while surface.gluing[c] != BOUNDARY:
-                c = _rotate_corner(surface, c)
-            d = c
+            seen.add(d)
+            # the fan at the head of d ends at the corner whose outgoing
+            # dart is unmatched; that dart continues the boundary
+            d = ix.vertices[ix.corner_vertex[_head_corner(d)]].corners[-1]
             if d == d0:
                 break
         cycles.append(cycle)
@@ -318,7 +313,12 @@ def load_surface(text) -> GluedSurface:
     a < b sorted ascending by a.  `#` starts a comment.
     """
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            ln = text.count(b"\n", 0, exc.start) + 1
+            bad = text[exc.start]
+            raise SurfaceError(f"line {ln}: non-ASCII byte {bad:#04x}") from exc
     lines = []
     for ln, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0].strip()
@@ -439,9 +439,7 @@ def subdivide(surface: GluedSurface, k: int) -> GluedSurface:
             (x, y), side = _side_cell(k, s, t)
             (x2, y2), side2 = _side_cell(k, s2, k - 1 - t)
             glue(up_dart(f, x, y, side), up_dart(f2, x2, y2, side2))
-    return GluedSurface(
-        per * T, tuple(gluing), provenance=("subdivide", k, save_surface(surface))
-    )
+    return GluedSurface(per * T, tuple(gluing))
 
 
 # --- conformal double -------------------------------------------------------
@@ -471,7 +469,7 @@ def conformal_double(surface: GluedSurface) -> GluedSurface:
             gluing[d] = p
             m, mp = mirror_dart(T, d), mirror_dart(T, p)
             gluing[m] = mp
-    return GluedSurface(2 * T, tuple(gluing), provenance=("double", save_surface(surface)))
+    return GluedSurface(2 * T, tuple(gluing))
 
 
 # --- canonical form ---------------------------------------------------------
@@ -568,7 +566,10 @@ def relabel(surface: GluedSurface, face_perm: Sequence, rotations: Sequence) -> 
 
 # --- random model -----------------------------------------------------------
 
-def random_surface(T: int, seed: int, max_retries: int = 100000) -> GluedSurface:
+_MAX_RETRIES = 100000
+
+
+def random_surface(T: int, seed: int) -> GluedSurface:
     """Uniform closed gluing of T triangles, conditioned on connectivity.
 
     Draws a uniform fixed-point-free involution on the 3T darts and
@@ -577,7 +578,7 @@ def random_surface(T: int, seed: int, max_retries: int = 100000) -> GluedSurface
     if T < 2 or T % 2 != 0:
         raise SurfaceError("T must be even and at least 2")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         darts = list(range(3 * T))
         gluing = [BOUNDARY] * (3 * T)
         while darts:

@@ -116,6 +116,16 @@ def test_error_exits_nonzero(capsys, tmp_path):
     assert code == 1 and "RESULT: fail" in out
 
 
+def test_non_ascii_byte_is_reported_by_line(capsys, tmp_path):
+    bad = tmp_path / "bad.tsf"
+    bad.write_bytes(b"tsf v1\nT 2\ng 0 3  # caf\xe9\ng 1 4\ng 2 5\n")
+    code = main(["stats", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: line 3")
+    assert captured.out.strip().splitlines()[-1].startswith("RESULT: fail")
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["not-a-command"])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import equilat.cover
 from equilat.surface import (
     GluedSurface,
     SurfaceError,
@@ -64,6 +65,18 @@ def test_pillowcase_cover_matches_sheet_oracle(pillowcase):
     assert len(cover.components) == sheet_orbit_oracle(pillowcase)
     # degrees 2,2,2 give monodromy subgroup {0,2,4}: two degree-3 components
     assert sorted(c.degree for c in cover.components) == [3, 3]
+
+
+def test_components_sorted_only_when_there_are_several(monkeypatch, pillowcase):
+    def refuse(surface):
+        raise AssertionError("canonical_form called to sort one component")
+
+    monkeypatch.setattr(equilat.cover, "canonical_form", refuse)
+    single = random_surface(4, 0)
+    assert len(canonical_cover(single).components) == 1
+    monkeypatch.undo()
+    forms = [canonical_form(c.surface) for c in canonical_cover(pillowcase).components]
+    assert len(forms) == 2 and forms == sorted(forms)
 
 
 def test_component_count_matches_oracle_on_random(census8):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from equilat.eisenstein import ZERO
@@ -107,3 +109,70 @@ def test_all_six_structures_decompose(tran_lb_corpus):
         _, geoms = decompose(surface, st)
         shapes.add(tuple(sorted(g.triangle_count for g in geoms)))
     assert len(shapes) >= 1  # every rotation yields a valid decomposition
+
+
+def _region_oracle(surface, A):
+    """Regions by flood fill across non-A darts, each with its boundary walk.
+
+    The walk leaves each A dart through the next side of its face and turns
+    across non-A darts until it meets the next A dart.
+    """
+    in_a = [False] * surface.dart_count
+    for e in A.edges:
+        for d in e:
+            in_a[d] = True
+    owner = [-1] * surface.face_count
+    regions = []
+    for f0 in range(surface.face_count):
+        if owner[f0] != -1:
+            continue
+        faces = [f0]
+        owner[f0] = len(regions)
+        stack = [f0]
+        while stack:
+            f = stack.pop()
+            for s in range(3):
+                if in_a[3 * f + s]:
+                    continue
+                f2 = surface.gluing[3 * f + s] // 3
+                if owner[f2] == -1:
+                    owner[f2] = len(regions)
+                    faces.append(f2)
+                    stack.append(f2)
+        boundary = [3 * f + s for f in faces for s in range(3) if in_a[3 * f + s]]
+        start = min(boundary)
+        walk = []
+        d = start
+        while True:
+            walk.append(d)
+            f, s = divmod(d, 3)
+            e = 3 * f + (s + 1) % 3
+            while not in_a[e]:
+                p = surface.gluing[e]
+                assert owner[p // 3] == len(regions)
+                f, s = divmod(p, 3)
+                e = 3 * f + (s + 1) % 3
+            d = e
+            if d == start:
+                break
+        assert sorted(walk) == sorted(boundary)
+        regions.append((tuple(sorted(faces)), tuple(walk)))
+    return regions
+
+
+def test_regions_match_flood_fill_oracle(tran_lb_corpus):
+    for surface, st in tran_lb_corpus:
+        A = build_trajectories(surface, st)
+        B = build_polytope(surface, st, A)
+        assert [(r.faces, r.boundary_darts) for r in B.faces] == _region_oracle(surface, A)
+        assert [r.region_id for r in B.faces] == list(range(len(B.faces)))
+
+
+def test_half_cut_edge_is_rejected(tran_lb_corpus):
+    surface, st = tran_lb_corpus[0]
+    A = build_trajectories(surface, st)
+    d = next(d for d in range(surface.dart_count)
+             if st.weights[d].k == 0 and frozenset((d, surface.gluing[d])) not in A.edges)
+    half = dataclasses.replace(A, a0_edges=A.a0_edges | {frozenset((d,))})
+    with pytest.raises(SurfaceError):
+        build_polytope(surface, st, half)

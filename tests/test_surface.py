@@ -16,6 +16,7 @@ from equilat.surface import (
     BOUNDARY,
     GluedSurface,
     SurfaceError,
+    _boundary_cycles,
     canonical_form,
     conformal_double,
     connected_components,
@@ -57,6 +58,8 @@ def test_tsf_rejects_malformed():
         load_surface("tsf v1\nT 2\ng 0 0\n")
     with pytest.raises(SurfaceError):
         load_surface("not a surface")
+    with pytest.raises(SurfaceError, match="line 3: non-ASCII byte 0xff"):
+        load_surface(b"tsf v1\nT 2\n\xff")
 
 
 def test_single_triangle_boundary():
@@ -205,6 +208,33 @@ def _component_oracle(gluing):
     return [tuple(faces) for _, faces in sorted(groups.items())]
 
 
+def _boundary_cycle_oracle(gluing):
+    """Boundary cycles by walking each fan corner by corner.
+
+    From the head corner of a boundary dart, rotate through outgoing darts
+    until one is unmatched; that dart continues the boundary.  Each cycle
+    starts at its smallest dart.
+    """
+    pending = {d for d, p in enumerate(gluing) if p == BOUNDARY}
+    cycles = []
+    while pending:
+        d0 = min(pending)
+        cycle = []
+        d = d0
+        while True:
+            cycle.append(d)
+            pending.discard(d)
+            c = 3 * (d // 3) + (d % 3 + 1) % 3
+            while gluing[c] != BOUNDARY:
+                p = gluing[c]
+                c = 3 * (p // 3) + (p % 3 + 1) % 3
+            d = c
+            if d == d0:
+                break
+        cycles.append(cycle)
+    return cycles
+
+
 def _check_index(surface):
     gluing = surface.gluing
     reports = vertex_orbits(surface)
@@ -214,6 +244,7 @@ def _check_index(surface):
     assert all(cv[c] == r.vertex for r in reports for c in r.corners)
     assert list(surface.index.out_darts) == \
         [tuple(d for d in range(len(gluing)) if cv[d] == r.vertex) for r in reports]
+    assert _boundary_cycles(surface) == _boundary_cycle_oracle(gluing)
     components = _component_oracle(gluing)
     assert list(surface.index.components) == components
     assert surface.is_connected() == (len(components) == 1)
