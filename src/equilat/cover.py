@@ -179,8 +179,7 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
         parts.append(CoverComponent(sub, degree, sheets, structures[0], stats.genus))
     if sum(p.degree for p in parts) != 6 or len(parts) > 6:
         raise SurfaceError("component degrees do not sum to a degree-6 cover")
-    if len(parts) > 1:  # list.sort calls the key even on a single element
-        parts.sort(key=lambda p: canonical_form(p.surface))
+    parts.sort(key=lambda p: canonical_form(p.surface))
     return BranchedCover(surface, total, dart_map, tuple(parts), tuple(ram), h)
 
 

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-import equilat.cover
 from equilat.surface import (
     GluedSurface,
     SurfaceError,
@@ -67,16 +66,20 @@ def test_pillowcase_cover_matches_sheet_oracle(pillowcase):
     assert sorted(c.degree for c in cover.components) == [3, 3]
 
 
-def test_components_sorted_only_when_there_are_several(monkeypatch, pillowcase):
-    def refuse(surface):
-        raise AssertionError("canonical_form called to sort one component")
-
-    monkeypatch.setattr(equilat.cover, "canonical_form", refuse)
-    single = random_surface(4, 0)
-    assert len(canonical_cover(single).components) == 1
-    monkeypatch.undo()
-    forms = [canonical_form(c.surface) for c in canonical_cover(pillowcase).components]
-    assert len(forms) == 2 and forms == sorted(forms)
+def test_components_share_one_canonical_form(census8, pillowcase):
+    # the sheet shift k -> k + 1 permutes the components transitively, so
+    # listing them by smallest total-space face is also canonical order
+    several = 0
+    for surface in [pillowcase] + census8[2] + census8[4] + census8[6]:
+        cover = canonical_cover(surface)
+        if len(cover.components) == 1:
+            continue
+        several += 1
+        first = [min(c.sheets) for c in cover.components]
+        assert first == sorted(first)
+        forms = {canonical_form(c.surface) for c in cover.components}
+        assert len(forms) == 1
+    assert several == 23
 
 
 def test_component_count_matches_oracle_on_random(census8):
