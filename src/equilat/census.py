@@ -39,14 +39,17 @@ __all__ = [
 DEFAULT_MAX_T = 10
 
 
-def _max_t_limit() -> int:
+def _census_range(T_max: int) -> range:
+    """Even T = 2, 4, ..., T_max; an oversized T_max fails before any search."""
     value = os.environ.get("EQUILAT_MAX_T")
-    if not value:
-        return DEFAULT_MAX_T
     try:
-        return int(value)
+        limit = int(value) if value else DEFAULT_MAX_T
     except ValueError:
         raise SurfaceError(f"EQUILAT_MAX_T={value!r} is not an integer") from None
+    if not 2 <= T_max <= limit:
+        raise SurfaceError(f"T={T_max} outside the configured census range 2..{limit} "
+                           "(set EQUILAT_MAX_T to raise the cap)")
+    return range(2, T_max + 1, 2)
 
 
 def _is_minimal(surface: GluedSurface) -> bool:
@@ -141,19 +144,14 @@ def enumerate_surfaces(T: int, filter: Optional[Callable] = None,
     Returns one canonically labeled representative per class, in sorted
     code order, optionally filtered by a predicate on the surface.
     """
-    if T % 2 != 0:
+    if T not in _census_range(T):
         raise SurfaceError("no closed surface has an odd number of faces")
-    if not 2 <= T <= _max_t_limit():
-        raise SurfaceError(
-            f"T={T} outside the configured census range 2..{_max_t_limit()} "
-            "(set EQUILAT_MAX_T to raise the cap)")
+    found = []
     if workers <= 1:
-        found = []
         _search(T, (), found.append)
     else:
         tasks = [(T, prefix) for prefix in _frontier(T, 3)]
-        found = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for gluings in pool.map(_run_task, tasks, chunksize=1):
                 found.extend(GluedSurface(T, g) for g in gluings)
     found.sort(key=lambda s: s.gluing)
@@ -224,7 +222,7 @@ def _has_loop_or_multiedge(surface: GluedSurface) -> bool:
 def count_table(T_max: int, workers: int = 1) -> list:
     """Census rows for all even T up to T_max, split by genus."""
     rows = []
-    for T in range(2, T_max + 1, 2):
+    for T in _census_range(T_max):
         buckets = {}
         classes = enumerate_surfaces(T, workers=workers)
         while classes:

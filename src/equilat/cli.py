@@ -32,7 +32,7 @@ from equilat.translation import (
 from equilat.degree_bound import bounded_degree_map, check_tri_lb, separation_check
 from equilat.parallelogram import decompose
 from equilat.cover import canonical_cover, verify_cover
-from equilat.census import count_table, enumerate_surfaces, write_table
+from equilat.census import _census_range, count_table, enumerate_surfaces, write_table
 
 
 def _load(path: str) -> GluedSurface:
@@ -189,7 +189,7 @@ def cmd_census(args) -> int:
             "lb": lambda s: check_tri_lb(s).ok,
         }[args.filter]
         total = 0
-        for T in range(2, args.tmax + 1, 2):
+        for T in _census_range(args.tmax):
             classes = enumerate_surfaces(T, filter=pred, workers=args.jobs)
             total += len(classes)
             print(f"T={T}: {len(classes)} classes pass filter {args.filter}")

@@ -17,7 +17,6 @@ from equilat.eisenstein import Root6
 from equilat.surface import (
     GluedSurface,
     SurfaceError,
-    canonical_form,
     connected_components,
     corner_vertex_map,
     euler_and_genus,
@@ -110,7 +109,7 @@ class BranchedCover:
     base: GluedSurface
     total: GluedSurface  # 6T faces, face 6f+k = sheet k over base face f
     dart_map: tuple  # cover dart -> base dart
-    components: tuple  # CoverComponent, ordered by canonical form
+    components: tuple  # CoverComponent, by smallest sheet; all isomorphic
     ramification: tuple  # RamificationRecord per base vertex
     cocycle: Holonomy6
 
@@ -133,6 +132,9 @@ def _assemble_total(surface: GluedSurface, h: Holonomy6) -> tuple:
 
 def canonical_cover(surface: GluedSurface) -> BranchedCover:
     """Assemble the six sheets and split into translation components.
+
+    Components come by smallest sheet: the sheet shift k -> k + 1 is a deck
+    transformation permuting them transitively, so all are isomorphic.
 
     Verifies on the way out that each component covers the base evenly,
     admits exactly six translation structures, satisfies the genus bound
@@ -179,7 +181,6 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
         parts.append(CoverComponent(sub, degree, sheets, structures[0], stats.genus))
     if sum(p.degree for p in parts) != 6 or len(parts) > 6:
         raise SurfaceError("component degrees do not sum to a degree-6 cover")
-    parts.sort(key=lambda p: canonical_form(p.surface))
     return BranchedCover(surface, total, dart_map, tuple(parts), tuple(ram), h)
 
 

@@ -66,6 +66,31 @@ def test_worker_independence():
     assert seq == par
 
 
+def test_worker_count_is_bounded_by_tasks(monkeypatch):
+    # a fake pool, so no process is ever started for the huge worker count
+    import equilat.census as census
+
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
+    par = [s.gluing for s in enumerate_surfaces(6, workers=10**6)]
+    assert requested and requested[0] <= len(census._frontier(6, 3))
+    assert par == [s.gluing for s in enumerate_surfaces(6)]
+
+
 def test_genus_bound(census8):
     for T, classes in census8.items():
         for s in classes:

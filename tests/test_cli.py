@@ -109,6 +109,24 @@ def test_census_rejects_non_integer_max_t(capsys, monkeypatch):
     assert captured.out.strip().splitlines()[-1].startswith("RESULT: fail EQUILAT_MAX_T")
 
 
+@pytest.mark.parametrize("extra", [[], ["--filter", "tran"]])
+def test_census_checks_cap_before_searching(capsys, monkeypatch, extra):
+    import equilat.census as census
+
+    def no_search(*args):
+        raise AssertionError("the census searched before checking its cap")
+
+    monkeypatch.setattr(census, "_search", no_search)
+    monkeypatch.setenv("EQUILAT_MAX_T", "4")
+    code = main(["census", "--tmax", "6", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: T=6 outside the configured census range 2..4")
+    assert captured.out.strip().splitlines() == [
+        "RESULT: fail T=6 outside the configured census range 2..4 "
+        "(set EQUILAT_MAX_T to raise the cap)"]
+
+
 def test_error_exits_nonzero(capsys, tmp_path):
     bad = tmp_path / "bad.tsf"
     bad.write_text("garbage")
