@@ -25,12 +25,12 @@ def main():
     shown = 0
     for T in range(2, args.tmax + 1, 2):
         for base in enumerate_surfaces(T):
-            if not detect_structures(base):
+            if detect_structures(base) is None:
                 continue
             if euler_and_genus(base).genus < 2:
                 continue
             surface = subdivide(base, args.k)
-            st = detect_structures(surface)[0]
+            st = detect_structures(surface)
             if not is_locally_bounded_tran(surface, st).ok:
                 continue
             high = [(r.vertex, r.degree) for r in vertex_orbits(surface)

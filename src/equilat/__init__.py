@@ -1,6 +1,6 @@
 """Exact combinatorial engine for surfaces glued from unit equilateral triangles."""
 
-from equilat.eisenstein import Eisenstein, Root6
+from equilat.eisenstein import Eisenstein
 from equilat.surface import (
     GluedSurface,
     load_surface,

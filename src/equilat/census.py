@@ -232,7 +232,7 @@ def count_table(T_max: int, workers: int = 1) -> list:
             b = buckets.setdefault(g, {"count": 0, "tran": 0, "lb": 0,
                                        "hist": {}, "loops": 0})
             b["count"] += 1
-            if detect_structures(surface):
+            if detect_structures(surface) is not None:
                 b["tran"] += 1
             if check_tri_lb(surface).ok:
                 b["lb"] += 1

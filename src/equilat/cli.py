@@ -101,11 +101,11 @@ def cmd_random(args) -> int:
 
 def cmd_tran(args) -> int:
     surface = _load(args.input)
-    structures = detect_structures(surface)
-    print(f"structures: {len(structures)}")
-    if not structures:
+    st = detect_structures(surface)
+    # a closed surface has no structure or the six rotations of one
+    print(f"structures: {0 if st is None else 6}")
+    if st is None:
         return _finish(False, "no translation structure")
-    st = structures[0]
     types = face_types(surface, st)
     n_a = sum(1 for t in types.values() if t == "A")
     print(f"face types: {n_a} type A, {len(types) - n_a} type B")
@@ -140,10 +140,10 @@ def cmd_degree_bound(args) -> int:
 
 def cmd_decompose(args) -> int:
     surface = _load(args.input)
-    structures = detect_structures(surface)
-    if not structures:
+    st = detect_structures(surface)
+    if st is None:
         return _finish(False, "no translation structure to decompose")
-    B, geoms = decompose(surface, structures[0])
+    B, geoms = decompose(surface, st)
     print(f"polytope: {len(B.vertices)} vertices, {len(B.edges)} edges, "
           f"{len(B.faces)} faces")
     total = 0
@@ -185,7 +185,7 @@ def cmd_cover(args) -> int:
 def cmd_census(args) -> int:
     if args.filter:
         pred = {
-            "tran": lambda s: bool(detect_structures(s)),
+            "tran": lambda s: detect_structures(s) is not None,
             "lb": lambda s: check_tri_lb(s).ok,
         }[args.filter]
         total = 0

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional
 
-from equilat.eisenstein import Root6
 from equilat.surface import (
     GluedSurface,
     SurfaceError,
@@ -137,7 +136,7 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
     transformation permuting them transitively, so all are isomorphic.
 
     Verifies on the way out that each component covers the base evenly,
-    admits exactly six translation structures, satisfies the genus bound
+    admits a translation structure, satisfies the genus bound
     6g + 5m and the Riemann-Hurwitz identity, and that a locally bounded
     base yields locally bounded components.
     """
@@ -167,8 +166,8 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
         if len(faces) % surface.face_count != 0:
             raise SurfaceError("component does not cover the base evenly")
         degree = len(faces) // surface.face_count
-        structures = detect_structures(sub)
-        if len(structures) != 6:
+        structure = detect_structures(sub)
+        if structure is None:
             raise SurfaceError("cover component is not a translation surface")
         stats = euler_and_genus(sub)
         if stats.genus > 6 * base_stats.genus + 5 * m:
@@ -178,7 +177,7 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
         if 2 * stats.genus - 2 + crit != degree * (2 * base_stats.genus - 2) + degree * n_branch:
             raise SurfaceError("Riemann-Hurwitz identity fails on a component")
         sheets = frozenset((f // 6, f % 6) for f in faces)
-        parts.append(CoverComponent(sub, degree, sheets, structures[0], stats.genus))
+        parts.append(CoverComponent(sub, degree, sheets, structure, stats.genus))
     if sum(p.degree for p in parts) != 6 or len(parts) > 6:
         raise SurfaceError("component degrees do not sum to a degree-6 cover")
     return BranchedCover(surface, total, dart_map, tuple(parts), tuple(ram), h)
@@ -247,9 +246,8 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover,
         reports = vertex_orbits(comp.surface)
         if any(r.degree % 6 != 0 for r in reports):
             fail(f"component {i} has a vertex degree not divisible by 6")
-        structures = detect_structures(comp.surface)
-        if len(structures) != 6:
-            fail(f"component {i} does not admit exactly six structures")
+        if detect_structures(comp.surface) is None:
+            fail(f"component {i} admits no translation structure")
         # critical points of the restricted covering from degree ratios;
         # component face i sits over the i-th smallest total-space face
         back = dict(enumerate(sorted(6 * f + k for f, k in comp.sheets)))

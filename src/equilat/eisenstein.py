@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-__all__ = ["Eisenstein", "Root6", "ZERO", "ONE", "OMEGA"]
+__all__ = ["Eisenstein", "ROOTS6", "ZERO", "ONE", "OMEGA"]
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ ZERO = Eisenstein(0, 0)
 ONE = Eisenstein(1, 0)
 OMEGA = Eisenstein(0, 1)
 
-# zeta^k = e^{k*pi*i/3} as ring elements, k = 0..5.
-_ROOTS = (
+# zeta^k = e^{k*pi*i/3} as ring elements, indexed by the exponent k = 0..5.
+ROOTS6 = (
     Eisenstein(1, 0),
     Eisenstein(0, 1),
     Eisenstein(-1, 1),
@@ -69,38 +69,3 @@ _ROOTS = (
     Eisenstein(0, -1),
     Eisenstein(1, -1),
 )
-
-
-@dataclass(frozen=True)
-class Root6:
-    """A sixth root of unity zeta^k = e^{k*pi*i/3}, stored by exponent mod 6."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", self.k % 6)
-
-    def __mul__(self, other: "Root6") -> "Root6":
-        return Root6(self.k + other.k)
-
-    def __neg__(self) -> "Root6":
-        return Root6(self.k + 3)
-
-    def inverse(self) -> "Root6":
-        return Root6(-self.k)
-
-    def rotate(self, steps: int) -> "Root6":
-        return Root6(self.k + steps)
-
-    def to_eisenstein(self) -> Eisenstein:
-        return _ROOTS[self.k]
-
-    @staticmethod
-    def from_eisenstein(x: Eisenstein) -> "Root6":
-        for k, r in enumerate(_ROOTS):
-            if r == x:
-                return Root6(k)
-        raise ValueError(f"{x} is not a sixth root of unity")
-
-    def __str__(self) -> str:
-        return f"zeta^{self.k}"

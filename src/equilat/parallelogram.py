@@ -85,7 +85,7 @@ def build_trajectories(surface: GluedSurface, st: TranslationStructure) -> Traje
         while queue:
             v = queue.pop()
             for d in out_darts[v]:
-                if st.weights[d].k != weight_k:
+                if st.weights[d] != weight_k:
                     continue
                 edges.add(frozenset((d, surface.gluing[d])))
                 w = cv[_head_corner(d)]
@@ -146,29 +146,29 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
             in_a[d] = True
     for e in A.a0_edges:
         for d in e:
-            if st.weights[d].k not in (0, 3):
+            if st.weights[d] not in (0, 3):
                 raise SurfaceError("direction-1 trajectory edge with wrong weight")
     for e in A.a1_edges | A.a2_edges:
         for d in e:
-            if st.weights[d].k not in (1, 4):
+            if st.weights[d] not in (1, 4):
                 raise SurfaceError("diagonal trajectory edge with wrong weight")
     out_darts = surface.index.out_darts
     high_set = set(high)
     for v in high:
         for d in out_darts[v]:
-            if st.weights[d].k in (0, 1, 3, 4) and not in_a[d]:
+            if st.weights[d] in (0, 1, 3, 4) and not in_a[d]:
                 raise SurfaceError("axis-direction edge at a degree >6 vertex missed by A")
     # polytope vertices: an A-edge end of weight +-1 and one of weight +-w
     vb = set()
     for rep in reports:
-        ks = {st.weights[d].k for d in out_darts[rep.vertex] if in_a[d]}
+        ks = {st.weights[d] for d in out_darts[rep.vertex] if in_a[d]}
         if ks & {0, 3} and ks & {1, 4}:
             vb.add(rep.vertex)
     if not high_set <= vb:
         raise SurfaceError("a degree >6 vertex escaped the polytope vertex set")
     for v in vb:
         for d in out_darts[v]:
-            if st.weights[d].k in (0, 3) and not in_a[d]:
+            if st.weights[d] in (0, 3) and not in_a[d]:
                 raise SurfaceError("horizontal edge at a polytope vertex missed by A")
     # maximal runs
     runs = []
@@ -178,10 +178,10 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
             if not in_a[d] or d in seen_starts:
                 continue
             darts = [d]
-            k = st.weights[d].k
+            k = st.weights[d]
             w = cv[_head_corner(d)]
             while w not in vb:
-                nxt = [d2 for d2 in out_darts[w] if in_a[d2] and st.weights[d2].k == k]
+                nxt = [d2 for d2 in out_darts[w] if in_a[d2] and st.weights[d2] == k]
                 if len(nxt) != 1:
                     raise SurfaceError("trajectory run has no unique continuation")
                 darts.append(nxt[0])
@@ -252,12 +252,12 @@ def develop_face(surface: GluedSurface, st: TranslationStructure,
     n = len(walk)
     # positions i where the direction changes between walk[i] and walk[i+1]
     change_pos = [i for i in range(n)
-                  if st.weights[walk[i]].k != st.weights[walk[(i + 1) % n]].k]
+                  if st.weights[walk[i]] != st.weights[walk[(i + 1) % n]]]
     corners = []
     sides = []  # (weight exponent, length) per side, in walk order
     for j, i in enumerate(change_pos):
-        k1 = st.weights[walk[i]].k
-        k2 = st.weights[walk[(i + 1) % n]].k
+        k1 = st.weights[walk[i]]
+        k2 = st.weights[walk[(i + 1) % n]]
         v = cv[_head_corner(walk[i])]
         # with the face on the left of the walk it lies clockwise from the
         # incoming edge, which carries the negated weight at v

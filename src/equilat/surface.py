@@ -10,7 +10,6 @@ preserve orientation.  Unmatched darts are boundary edges.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -276,15 +275,7 @@ def euler_and_genus(surface: GluedSurface) -> SurfaceStats:
     genus2 = 2 - chi - b
     if genus2 % 2 != 0 or genus2 < 0:
         raise SurfaceError(f"inconsistent Euler data: chi={chi}, boundary={b}")
-    g = genus2 // 2
-    if unmatched == 0:
-        if T % 2 != 0:
-            warnings.warn(f"closed surface with odd face count T={T}")
-        if T < 4 * g - 4:
-            warnings.warn(f"T={T} violates T >= 4g-4 for g={g}")
-        if 2 * g > T:
-            warnings.warn(f"g/T={g}/{T} exceeds 1/2")
-    return SurfaceStats(V, E, T, chi, g, b)
+    return SurfaceStats(V, E, T, chi, genus2 // 2, b)
 
 
 def connected_components(surface: GluedSurface) -> list:
@@ -334,6 +325,11 @@ def load_surface(text) -> GluedSurface:
         raise SurfaceError(f"line {lines[1][0]}: bad face count") from exc
     if T < 1:
         raise SurfaceError(f"line {lines[1][0]}: face count must be positive")
+    # each gluing line touches at most two faces; only a lone triangle has
+    # no glued side, so a larger T is refused before allocating 3T darts
+    if T > max(1, 2 * (len(lines) - 2)):
+        raise SurfaceError(f"line {lines[1][0]}: {T} faces cannot be joined "
+                           f"by {len(lines) - 2} gluing lines")
     gluing = [BOUNDARY] * (3 * T)
     prev_a = -1
     for ln, line in lines[2:]:

@@ -6,7 +6,7 @@ the two ends of an edge carry opposite weights, and successive outgoing
 edges at a corner of a face differ by e^{i*pi/3}.  Consequently every face
 carries the pattern (w, w*zeta^2, w*zeta^4) on its three sides, and a
 closed surface admits either no such structure or exactly six (the global
-rotations of one).
+rotations of one).  Weights are stored as exponents k of zeta^k, 0..5.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from equilat.eisenstein import ZERO, Eisenstein, Root6
+from equilat.eisenstein import ROOTS6, ZERO, Eisenstein
 from equilat.surface import (
     BOUNDARY,
     GluedSurface,
@@ -38,32 +38,23 @@ __all__ = [
 
 MAX_LB_DEGREE = 42
 
-# The six sixth roots, shared by every structure (Root6 is immutable).
-_ROOTS6 = tuple(Root6(k) for k in range(6))
-
 
 @dataclass(frozen=True)
 class TranslationStructure:
-    """Directional weights per dart: weight[d] = zeta(e, tail of d)."""
+    """Directional weights per dart: zeta(e, tail of d) = zeta^weights[d]."""
 
-    weights: tuple  # Root6 per dart
-
-    def weight(self, dart: int) -> Root6:
-        return self.weights[dart]
+    weights: tuple  # exponent in 0..5 per dart
 
     def period(self, dart: int) -> Eisenstein:
-        return self.weights[dart].to_eisenstein()
-
-    def rotate(self, steps: int) -> "TranslationStructure":
-        return TranslationStructure(tuple(_ROOTS6[(w.k + steps) % 6] for w in self.weights))
+        return ROOTS6[self.weights[dart]]
 
 
-def detect_structures(surface: GluedSurface) -> list:
-    """All translation structures on a closed connected surface.
+def detect_structures(surface: GluedSurface) -> Optional[TranslationStructure]:
+    """The translation structure with zeta^0 on dart 0, or None if there is none.
 
     Seeds face 0 with the Type A pattern (zeta^0, zeta^2, zeta^4),
-    propagates across gluings and checks every edge; the result is either
-    empty or the six global rotations of the propagated structure.
+    propagates across gluings and checks every edge.  The other five
+    structures are the global rotations k -> k + r of the one returned.
     """
     if not surface.is_closed():
         raise SurfaceError("translation structures are defined for closed surfaces")
@@ -85,19 +76,17 @@ def detect_structures(surface: GluedSurface) -> list:
                 phase[f2] = forced
                 queue.append(f2)
             elif phase[f2] != forced:
-                return []
-    base = TranslationStructure(
-        tuple(_ROOTS6[(phase[d // 3] + 2 * (d % 3)) % 6] for d in range(3 * T))
-    )
+                return None
     for rep in vertex_orbits(surface):
         assert rep.degree % 6 == 0, "translation structure at a non-flat vertex"
-    return [base.rotate(k) for k in range(6)]
+    return TranslationStructure(
+        tuple((phase[d // 3] + 2 * (d % 3)) % 6 for d in range(3 * T)))
 
 
 def face_types(surface: GluedSurface, st: TranslationStructure) -> dict:
     """Type A/B labels; every interior edge joins opposite types."""
     return {
-        f: "A" if st.weights[3 * f].k % 2 == 0 else "B"
+        f: "A" if st.weights[3 * f] % 2 == 0 else "B"
         for f in range(surface.face_count)
     }
 

@@ -123,6 +123,6 @@ def test_csv_format(tmp_path):
 def test_filter_predicate():
     from equilat.translation import detect_structures
 
-    tran = enumerate_surfaces(4, filter=lambda s: bool(detect_structures(s)))
+    tran = enumerate_surfaces(4, filter=lambda s: detect_structures(s) is not None)
     assert len(tran) == 1
     assert euler_and_genus(tran[0]).genus == 1

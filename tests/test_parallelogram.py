@@ -12,7 +12,7 @@ from equilat.surface import (
     subdivide,
     vertex_orbits,
 )
-from equilat.translation import detect_structures
+from equilat.translation import TranslationStructure, detect_structures
 from equilat.parallelogram import (
     ALLOWED_CORNER_PAIRS,
     build_polytope,
@@ -23,7 +23,7 @@ from equilat.parallelogram import (
 
 
 def test_rejects_genus_one(hex_torus):
-    st = detect_structures(hex_torus)[0]
+    st = detect_structures(hex_torus)
     with pytest.raises(SurfaceError, match="genus-1"):
         build_trajectories(hex_torus, st)
 
@@ -31,7 +31,7 @@ def test_rejects_genus_one(hex_torus):
 def test_rejects_subdivided_torus(hex_torus):
     # still genus 1 after subdivision: no vertex of degree > 6 can exist
     sub = subdivide(hex_torus, 3)
-    st = detect_structures(sub)[0]
+    st = detect_structures(sub)
     with pytest.raises(SurfaceError, match="genus-1"):
         build_trajectories(sub, st)
 
@@ -40,9 +40,9 @@ def test_trajectory_edges_carry_axis_weights(tran_lb_corpus):
     surface, st = tran_lb_corpus[0]
     A = build_trajectories(surface, st)
     for e in A.a0_edges:
-        assert {st.weights[d].k for d in e} == {0, 3}
+        assert {st.weights[d] for d in e} == {0, 3}
     for e in A.a1_edges | A.a2_edges:
-        assert {st.weights[d].k for d in e} == {1, 4}
+        assert {st.weights[d] for d in e} == {1, 4}
     assert A.a0_edges.isdisjoint(A.a1_edges | A.a2_edges)
 
 
@@ -70,7 +70,7 @@ def test_edges_are_maximal_same_direction_runs(tran_lb_corpus):
     B = build_polytope(surface, st, A)
     covered = set()
     for run in B.edges:
-        ks = {st.weights[d].k for d in run.darts}
+        ks = {st.weights[d] for d in run.darts}
         assert len(ks) == 1 and run.weight_k in ks
         assert run.start in B.vertices and run.end in B.vertices
         for d in run.darts:
@@ -96,16 +96,17 @@ def test_decomposition_is_relabeling_invariant(tran_lb_corpus):
     rng.shuffle(perm)
     rots = [rng.randrange(3) for _ in range(surface.face_count)]
     other = relabel(surface, perm, rots)
-    st2 = detect_structures(other)[0]
+    st2 = detect_structures(other)
     _, geoms2 = decompose(other, st2)
     shapes2 = sorted((g.length, g.width) for g in geoms2)
     assert shapes == shapes2
 
 
 def test_all_six_structures_decompose(tran_lb_corpus):
-    surface, _ = tran_lb_corpus[0]
+    surface, base = tran_lb_corpus[0]
     shapes = set()
-    for st in detect_structures(surface):
+    for r in range(6):
+        st = TranslationStructure(tuple((k + r) % 6 for k in base.weights))
         _, geoms = decompose(surface, st)
         shapes.add(tuple(sorted(g.triangle_count for g in geoms)))
     assert len(shapes) >= 1  # every rotation yields a valid decomposition
@@ -172,7 +173,7 @@ def test_half_cut_edge_is_rejected(tran_lb_corpus):
     surface, st = tran_lb_corpus[0]
     A = build_trajectories(surface, st)
     d = next(d for d in range(surface.dart_count)
-             if st.weights[d].k == 0 and frozenset((d, surface.gluing[d])) not in A.edges)
+             if st.weights[d] == 0 and frozenset((d, surface.gluing[d])) not in A.edges)
     half = dataclasses.replace(A, a0_edges=A.a0_edges | {frozenset((d,))})
     with pytest.raises(SurfaceError):
         build_polytope(surface, st, half)

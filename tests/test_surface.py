@@ -60,10 +60,16 @@ def test_tsf_rejects_malformed():
         load_surface("not a surface")
     with pytest.raises(SurfaceError, match="line 3: non-ASCII byte 0xff"):
         load_surface(b"tsf v1\nT 2\n\xff")
+    # more faces than the gluing lines can reach, refused before allocating
+    with pytest.raises(SurfaceError, match="line 2: 10000000000000 faces"):
+        load_surface("tsf v1\nT 10000000000000\n")
+    with pytest.raises(SurfaceError, match="line 2: 3 faces"):
+        load_surface("tsf v1\nT 3\ng 0 3\n")
 
 
 def test_single_triangle_boundary():
     tri = GluedSurface(1, (BOUNDARY, BOUNDARY, BOUNDARY))
+    assert load_surface("tsf v1\nT 1\n") == tri
     assert not tri.is_closed()
     assert len(tri.boundary_darts()) == 3
     reps = vertex_orbits(tri)
