@@ -1,12 +1,18 @@
 """Exhaustive census of closed connected glued surfaces for small T.
 
 Surfaces are generated directly in canonical-code space: darts are
-processed in order, each unmatched dart either glues to a later unmatched
+processed in order, each undecided dart either glues to a later undecided
 dart of an already-opened face or opens the next face at its side 0.  The
 resulting gluing equals the breadth-first code of the surface read from
-dart 0, so a leaf is kept exactly when no other start dart yields a
-lexicographically smaller code.  Each isomorphism class then appears
-exactly once, and connectivity is automatic.
+dart 0, so connectivity is automatic and a class is kept exactly when no
+other start dart yields a lexicographically smaller code.
+
+That test is applied to every prefix, not only to complete gluings
+(orderly generation).  Each search node carries the start darts whose
+code still ties the root code over the decided darts; a node is pruned as
+soon as some start is strictly smaller there, and a start that is
+strictly larger is dropped for the subtree.  Each isomorphism class then
+appears exactly once, and only at leaves that are already canonical.
 """
 
 from __future__ import annotations
@@ -61,39 +67,95 @@ def _is_minimal(surface: GluedSurface) -> bool:
     return True
 
 
-def _search(T: int, prefix: tuple, collect: Callable) -> None:
-    """Depth-first completion of a partial canonical-code gluing."""
-    n_darts = 3 * T
-    gluing = [-1] * n_darts
-    opened = 1
-    for n, p in prefix:
-        gluing[n] = p
-        gluing[p] = n
-        opened = max(opened, p // 3 + 1)
-    stack = [(gluing, opened, _next_unset(gluing, 0))]
-    while stack:
-        gluing, opened, n = stack.pop()
-        if n == n_darts:
-            if opened == T:
-                surface = GluedSurface(T, tuple(gluing))
-                if _is_minimal(surface):
-                    collect(surface)
-            continue
-        if n >= 3 * opened:
-            # every dart of the opened faces is matched internally, so the
-            # unopened faces can never connect; dead branch
-            continue
-        choices = []
-        if opened < T:
-            choices.append(3 * opened)
-        for p in range(n + 1, 3 * opened):
-            if gluing[p] == -1:
-                choices.append(p)
-        for p in choices:
+def _prefix_order(gluing, start: int, n: int) -> int:
+    """Compare the BFS code from `start` with the root code over its prefix.
+
+    The root code is the partial gluing itself, decided on darts 0..n-1;
+    -1 marks an undecided partner (to `_bfs_code` it is a boundary edge).
+    The code from `start` is extended until it reaches a dart with an
+    undecided partner.  Returns -1 or 1 at the first entry where the two
+    codes differ, 0 if they tie that far.
+    """
+    label = [-1] * len(gluing)  # old dart -> its dart in the relabeling
+    f3 = start - start % 3
+    order = [start, f3 + (start + 1) % 3, f3 + (start + 2) % 3]  # the inverse
+    label[order[0]], label[order[1]], label[order[2]] = 0, 1, 2
+    for m in range(n):
+        p = gluing[order[m]]
+        if p == -1:
+            return 0
+        entry = label[p]
+        if entry == -1:
+            # p opens the next face, at its side 0
+            entry = len(order)
+            f3 = p - p % 3
+            q, r = f3 + (p + 1) % 3, f3 + (p + 2) % 3
+            label[p], label[q], label[r] = entry, entry + 1, entry + 2
+            order += (p, q, r)
+        if entry != gluing[m]:
+            return -1 if entry < gluing[m] else 1
+    return 0
+
+
+def _root(T: int) -> tuple:
+    """The search node with no dart decided: (gluing, opened faces, first
+    undecided dart, live starts)."""
+    return [-1] * (3 * T), 1, 0, tuple(range(1, 3 * T))
+
+
+def _expand(T: int, gluing, opened: int, n: int, live: tuple):
+    """Children of one search node, [] for a complete gluing, or None when
+    the node is dead or pruned.
+
+    The node is pruned when some live start is strictly smaller than the
+    root code over the decided darts.  Its children carry the starts that
+    still tie; starts in faces not yet opened have no decided entry and
+    stay live unexamined.  Dart n, the first undecided one, glues to side 0
+    of the next face or to a later undecided dart of an opened face.
+    """
+    if n == 3 * opened and opened < T:
+        # every dart of the opened faces is matched internally, so the
+        # unopened faces can never connect; dead branch
+        return None
+    tied = []
+    for start in live:
+        if start < 3 * opened:
+            order = _prefix_order(gluing, start, n)
+            if order < 0:
+                return None
+            if order > 0:
+                continue
+        tied.append(start)
+    live = tuple(tied)
+    children = []
+    # p = 3 * opened, included while a face is left, opens the next face
+    for p in range(n + 1, 3 * opened + (opened < T)):
+        if gluing[p] == -1:
             g2 = list(gluing)
             g2[n] = p
             g2[p] = n
-            stack.append((g2, max(opened, p // 3 + 1), _next_unset(g2, n + 1)))
+            children.append((g2, max(opened, p // 3 + 1), _next_unset(g2, n + 1), live))
+    return children
+
+
+def _search(T: int, node: tuple, collect: Callable) -> None:
+    """Depth-first completion of a search node; `collect` gets each class.
+
+    A node is pruned as soon as some start dart's BFS code is strictly
+    smaller than the root code over the decided prefix, since every
+    completion then has a smaller code.  Complete gluings still pass the
+    full `_is_minimal` test.
+    """
+    stack = [node]
+    while stack:
+        gluing, opened, n, live = stack.pop()
+        children = _expand(T, gluing, opened, n, live)
+        if children:
+            stack.extend(children)
+        elif children is not None:
+            surface = GluedSurface(T, tuple(gluing))
+            if _is_minimal(surface):
+                collect(surface)
 
 
 def _next_unset(gluing, start: int) -> int:
@@ -104,36 +166,23 @@ def _next_unset(gluing, start: int) -> int:
 
 
 def _frontier(T: int, depth: int) -> list:
-    """Partial gluings after deciding the first `depth` darts."""
-    tasks = [()]
+    """Search nodes after deciding the first `depth` darts, pruned as in
+    `_search`; a complete gluing reached earlier is kept as it is."""
+    nodes = [_root(T)]
     for _ in range(depth):
         grown = []
-        for prefix in tasks:
-            gluing = [-1] * (3 * T)
-            opened = 1
-            for n, p in prefix:
-                gluing[n] = p
-                gluing[p] = n
-                opened = max(opened, p // 3 + 1)
-            n = _next_unset(gluing, 0)
-            if n == 3 * T:
-                grown.append(prefix)
-                continue
-            if n >= 3 * opened:
-                continue
-            if opened < T:
-                grown.append(prefix + ((n, 3 * opened),))
-            for p in range(n + 1, 3 * opened):
-                if gluing[p] == -1:
-                    grown.append(prefix + ((n, p),))
-        tasks = grown
-    return tasks
+        for node in nodes:
+            children = _expand(T, *node)
+            if children is not None:
+                grown.extend(children or [node])
+        nodes = grown
+    return nodes
 
 
 def _run_task(args) -> list:
-    T, prefix = args
+    T, node = args
     out = []
-    _search(T, prefix, out.append)
+    _search(T, node, out.append)
     return [s.gluing for s in out]
 
 
@@ -148,9 +197,9 @@ def enumerate_surfaces(T: int, filter: Optional[Callable] = None,
         raise SurfaceError("no closed surface has an odd number of faces")
     found = []
     if workers <= 1:
-        _search(T, (), found.append)
+        _search(T, _root(T), found.append)
     else:
-        tasks = [(T, prefix) for prefix in _frontier(T, 3)]
+        tasks = [(T, node) for node in _frontier(T, 3)]
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for gluings in pool.map(_run_task, tasks, chunksize=1):
                 found.extend(GluedSurface(T, g) for g in gluings)

@@ -357,11 +357,19 @@ def load_surface(text) -> GluedSurface:
 
 
 def save_surface(surface: GluedSurface) -> str:
-    """Serialize to TSF; canonical for the given labeling."""
-    out = ["tsf v1", f"T {surface.face_count}"]
+    """Serialize to TSF; canonical for the given labeling.
+
+    Refuses the gluings that `load_surface` would refuse: more than
+    max(1, 2 x gluing lines) faces, which needs unglued triangles.
+    """
+    T = surface.face_count
+    out = ["tsf v1", f"T {T}"]
     for a, b in enumerate(surface.gluing):
         if b != BOUNDARY and a < b:
             out.append(f"g {a} {b}")
+    if T > max(1, 2 * (len(out) - 2)):
+        raise SurfaceError(f"{T} faces cannot be joined by {len(out) - 2} "
+                           "gluing lines; TSF cannot hold this gluing")
     return "\n".join(out) + "\n"
 
 

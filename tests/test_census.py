@@ -1,6 +1,10 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from equilat.surface import (
+    GluedSurface,
     SurfaceError,
     canonical_form,
     euler_and_genus,
@@ -12,6 +16,8 @@ from equilat.census import (
     count_table,
     enumerate_surfaces,
     write_table,
+    _is_minimal,
+    _next_unset,
 )
 
 
@@ -126,3 +132,97 @@ def test_filter_predicate():
     tran = enumerate_surfaces(4, filter=lambda s: detect_structures(s) is not None)
     assert len(tran) == 1
     assert euler_and_genus(tran[0]).genus == 1
+
+
+def _leaf_only_search(T):
+    """The census search before prefix rejection: every rooted gluing is
+    completed to a leaf, and only the leaf test `_is_minimal` rejects."""
+    n_darts = 3 * T
+    found = []
+    stack = [([-1] * n_darts, 1, 0)]
+    while stack:
+        gluing, opened, n = stack.pop()
+        if n == n_darts:
+            if opened == T:
+                surface = GluedSurface(T, tuple(gluing))
+                if _is_minimal(surface):
+                    found.append(surface.gluing)
+            continue
+        if n >= 3 * opened:
+            continue
+        choices = []
+        if opened < T:
+            choices.append(3 * opened)
+        for p in range(n + 1, 3 * opened):
+            if gluing[p] == -1:
+                choices.append(p)
+        for p in choices:
+            g2 = list(gluing)
+            g2[n] = p
+            g2[p] = n
+            stack.append((g2, max(opened, p // 3 + 1), _next_unset(g2, n + 1)))
+    return sorted(found)
+
+
+def test_pruning_keeps_every_class(census8):
+    for T in (2, 4, 6):
+        assert [s.gluing for s in census8[T]] == _leaf_only_search(T)
+    leaf_only = _leaf_only_search(8)
+    assert [s.gluing for s in census8[8]] == leaf_only
+    assert [s.gluing for s in enumerate_surfaces(8, workers=2)] == leaf_only
+
+
+def _automorphism_count(gluing):
+    """Darts d such that dart 0 -> d extends to a bijection of darts that
+    commutes with the face rotation and with the gluing."""
+    n = len(gluing)
+    rotate = [d + 1 if d % 3 != 2 else d - 2 for d in range(n)]
+    count = 0
+    for target in range(n):
+        image = {0: target}
+        used = {target}
+        stack = [0]
+        ok = True
+        while stack and ok:
+            x = stack.pop()
+            y = image[x]
+            for a, b in ((rotate[x], rotate[y]), (gluing[x], gluing[y])):
+                if a not in image:
+                    if b in used:
+                        ok = False
+                        break
+                    image[a] = b
+                    used.add(b)
+                    stack.append(a)
+                elif image[a] != b:
+                    ok = False
+                    break
+        count += ok
+    return count
+
+
+def _pairings(m):
+    """(m-1)!!, the fixed-point-free involutions on m darts; 0 if m is odd."""
+    out = 1 - m % 2
+    for k in range(m - 1, 0, -2):
+        out *= k
+    return out
+
+
+def _connected_mass(T):
+    """[x^T] log(sum_n (3n-1)!! x^n / n!) / 3^T: the classes of connected
+    closed gluings of T triangles, each weighted by 1/|Aut|."""
+    a = [Fraction(_pairings(3 * n), factorial(n)) for n in range(T + 1)]
+    # log of a power series with a[0] = 1: n c_n = n a_n - sum_k k c_k a_{n-k}
+    c = [Fraction(0)] * (T + 1)
+    for n in range(1, T + 1):
+        c[n] = a[n] - sum((k * c[k] * a[n - k] for k in range(1, n)), Fraction(0)) / n
+    return c[T] / 3 ** T
+
+
+def test_mass_identity_at_ten():
+    assert _connected_mass(10) == Fraction(82825, 3)
+    classes = enumerate_surfaces(10)
+    assert len(classes) == 28174
+    assert sum(Fraction(1, _automorphism_count(s.gluing)) for s in classes) == \
+        Fraction(82825, 3)

@@ -2,7 +2,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import equilat.surface
 from equilat.degree_bound import (
@@ -65,6 +65,36 @@ def test_tsf_rejects_malformed():
         load_surface("tsf v1\nT 10000000000000\n")
     with pytest.raises(SurfaceError, match="line 2: 3 faces"):
         load_surface("tsf v1\nT 3\ng 0 3\n")
+
+
+# random partial pairings of 3T darts: often disconnected, with unglued sides
+# and unglued triangles
+partial_gluings = st.integers(min_value=1, max_value=8).flatmap(
+    lambda T: st.tuples(st.permutations(range(3 * T)),
+                        st.integers(min_value=0, max_value=3 * T // 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_gluings)
+# two glued triangles and a loose one: one gluing line cannot reach 3 faces
+@example(((0, 3, 1, 2, 4, 5, 6, 7, 8), 1))
+def test_tsf_round_trip_or_refusal(drawn):
+    order, n_pairs = drawn
+    pairs = sorted(tuple(sorted(ab)) for ab in zip(order[0:2 * n_pairs:2],
+                                                   order[1:2 * n_pairs:2]))
+    gluing = [BOUNDARY] * len(order)
+    for a, b in pairs:
+        gluing[a], gluing[b] = b, a
+    surface = GluedSurface(len(order) // 3, tuple(gluing))
+    text = f"tsf v1\nT {surface.face_count}\n" + "".join(f"g {a} {b}\n" for a, b in pairs)
+    try:
+        loaded = load_surface(text)
+    except SurfaceError:
+        with pytest.raises(SurfaceError):
+            save_surface(surface)
+        return
+    assert loaded == surface
+    assert save_surface(surface) == text
 
 
 def test_single_triangle_boundary():
