@@ -8,11 +8,13 @@ dart 0, so connectivity is automatic and a class is kept exactly when no
 other start dart yields a lexicographically smaller code.
 
 That test is applied to every prefix, not only to complete gluings
-(orderly generation).  Each search node carries the start darts whose
-code still ties the root code over the decided darts; a node is pruned as
-soon as some start is strictly smaller there, and a start that is
-strictly larger is dropped for the subtree.  Each isomorphism class then
-appears exactly once, and only at leaves that are already canonical.
+(orderly generation).  Each search node carries, for every start dart
+whose code still ties the root code over the decided darts, the state its
+comparison stopped in; a child resumes each start from there instead of
+re-reading its code from the first entry.  A node is pruned as soon as
+some start is strictly smaller, and a start that is strictly larger is
+dropped for the subtree.  Each isomorphism class then appears exactly
+once, at a complete gluing that no start beats, and needs no further test.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Callable, Optional
 from equilat.surface import (
     GluedSurface,
     SurfaceError,
-    _bfs_code,
     euler_and_genus,
     vertex_orbits,
 )
@@ -44,6 +45,11 @@ __all__ = [
 
 DEFAULT_MAX_T = 10
 
+# darts decided before the search is split into worker tasks.  At T=10
+# depth 3 gives 11 tasks, the largest about 40% of the search; depth 6
+# gives 61, the largest about 20%, and the frontier still takes under 1 ms
+_FRONTIER_DEPTH = 6
+
 
 def _census_range(T_max: int) -> range:
     """Even T = 2, 4, ..., T_max; an oversized T_max fails before any search."""
@@ -58,74 +64,69 @@ def _census_range(T_max: int) -> range:
     return range(2, T_max + 1, 2)
 
 
-def _is_minimal(surface: GluedSurface) -> bool:
-    code = list(surface.gluing)
-    for start in range(1, surface.dart_count):
-        other = _bfs_code(surface, start, code)
-        if other is not None and other < code:
-            return False
-    return True
-
-
-def _prefix_order(gluing, start: int, n: int) -> int:
-    """Compare the BFS code from `start` with the root code over its prefix.
-
-    The root code is the partial gluing itself, decided on darts 0..n-1;
-    -1 marks an undecided partner (to `_bfs_code` it is a boundary edge).
-    The code from `start` is extended until it reaches a dart with an
-    undecided partner.  Returns -1 or 1 at the first entry where the two
-    codes differ, 0 if they tie that far.
-    """
-    label = [-1] * len(gluing)  # old dart -> its dart in the relabeling
-    f3 = start - start % 3
-    order = [start, f3 + (start + 1) % 3, f3 + (start + 2) % 3]  # the inverse
-    label[order[0]], label[order[1]], label[order[2]] = 0, 1, 2
-    for m in range(n):
-        p = gluing[order[m]]
-        if p == -1:
-            return 0
-        entry = label[p]
-        if entry == -1:
-            # p opens the next face, at its side 0
-            entry = len(order)
-            f3 = p - p % 3
-            q, r = f3 + (p + 1) % 3, f3 + (p + 2) % 3
-            label[p], label[q], label[r] = entry, entry + 1, entry + 2
-            order += (p, q, r)
-        if entry != gluing[m]:
-            return -1 if entry < gluing[m] else 1
-    return 0
+def _face_from(p: int) -> tuple:
+    """Dart p and the other two darts of its face, in rotation order."""
+    f3 = p - p % 3
+    return p, f3 + (p + 1) % 3, f3 + (p + 2) % 3
 
 
 def _root(T: int) -> tuple:
     """The search node with no dart decided: (gluing, opened faces, first
-    undecided dart, live starts)."""
-    return [-1] * (3 * T), 1, 0, tuple(range(1, 3 * T))
+    undecided dart, live start states).
+
+    A start state is (order, m, faces): the darts in the order the code
+    from the start labels them, the number m of its entries that tie the
+    root code, and a bitmask of the faces it has labelled.  States are
+    immutable, so children share them.
+    """
+    return [-1] * (3 * T), 1, 0, tuple((_face_from(s), 0, 1 << s // 3)
+                                       for s in range(1, 3 * T))
 
 
 def _expand(T: int, gluing, opened: int, n: int, live: tuple):
     """Children of one search node, [] for a complete gluing, or None when
     the node is dead or pruned.
 
-    The node is pruned when some live start is strictly smaller than the
-    root code over the decided darts.  Its children carry the starts that
-    still tie; starts in faces not yet opened have no decided entry and
-    stay live unexamined.  Dart n, the first undecided one, glues to side 0
-    of the next face or to a later undecided dart of an opened face.
+    The root code is the partial gluing itself, decided on darts 0..n-1.
+    Each live start resumes its code at entry m and reads on until it
+    reaches entry n or a dart whose partner is undecided.  The node is
+    pruned when some start reads a strictly smaller entry; a start that
+    reads a strictly larger one is dropped for the subtree.  The children
+    share the states of the starts that still tie.  Dart n, the first
+    undecided one, glues to side 0 of the next face or to a later undecided
+    dart of an opened face.
     """
     if n == 3 * opened and opened < T:
         # every dart of the opened faces is matched internally, so the
         # unopened faces can never connect; dead branch
         return None
     tied = []
-    for start in live:
-        if start < 3 * opened:
-            order = _prefix_order(gluing, start, n)
-            if order < 0:
-                return None
-            if order > 0:
-                continue
-        tied.append(start)
+    for order, m, faces in live:
+        while m < n:
+            p = gluing[order[m]]
+            if p == -1:
+                break
+            # both codes tie before entry m, so both have labelled
+            # len(order) darts and the root entry is at most len(order)
+            entry = gluing[m]
+            if faces >> p // 3 & 1:
+                # p is labelled, and its label is the start's entry
+                if entry < len(order) and order[entry] == p:
+                    m += 1
+                    continue
+                if entry == len(order) or order.index(p) < entry:
+                    return None
+                m = -1  # strictly larger: the start is dropped
+                break
+            if entry < len(order):
+                m = -1
+                break
+            # p opens the next face, at its side 0, as the root code does
+            order += _face_from(p)
+            faces |= 1 << p // 3
+            m += 1
+        if m >= 0:
+            tied.append((order, m, faces))
     live = tuple(tied)
     children = []
     # p = 3 * opened, included while a face is left, opens the next face
@@ -143,19 +144,20 @@ def _search(T: int, node: tuple, collect: Callable) -> None:
 
     A node is pruned as soon as some start dart's BFS code is strictly
     smaller than the root code over the decided prefix, since every
-    completion then has a smaller code.  Complete gluings still pass the
-    full `_is_minimal` test.
+    completion then has a smaller code.  A complete gluing that `_expand`
+    does not prune is canonical with no further test: there every start
+    still live has been compared over all 3T entries and ties or is
+    dropped, and every start dropped earlier read a strictly larger entry
+    on a decided prefix, which no completion changes.
     """
     stack = [node]
     while stack:
-        gluing, opened, n, live = stack.pop()
-        children = _expand(T, gluing, opened, n, live)
+        node = stack.pop()
+        children = _expand(T, *node)
         if children:
             stack.extend(children)
         elif children is not None:
-            surface = GluedSurface(T, tuple(gluing))
-            if _is_minimal(surface):
-                collect(surface)
+            collect(GluedSurface(T, tuple(node[0])))
 
 
 def _next_unset(gluing, start: int) -> int:
@@ -199,7 +201,7 @@ def enumerate_surfaces(T: int, filter: Optional[Callable] = None,
     if workers <= 1:
         _search(T, _root(T), found.append)
     else:
-        tasks = [(T, node) for node in _frontier(T, 3)]
+        tasks = [(T, node) for node in _frontier(T, _FRONTIER_DEPTH)]
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for gluings in pool.map(_run_task, tasks, chunksize=1):
                 found.extend(GluedSurface(T, g) for g in gluings)

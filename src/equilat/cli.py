@@ -183,6 +183,9 @@ def cmd_cover(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.filter and args.out:
+        # the CSV is the full table; a filtered run counts classes only
+        raise SurfaceError("--out cannot be combined with --filter")
     if args.filter:
         pred = {
             "tran": lambda s: detect_structures(s) is not None,

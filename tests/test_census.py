@@ -6,6 +6,7 @@ import pytest
 from equilat.surface import (
     GluedSurface,
     SurfaceError,
+    _bfs_code,
     canonical_form,
     euler_and_genus,
     load_canonical_form,
@@ -16,8 +17,9 @@ from equilat.census import (
     count_table,
     enumerate_surfaces,
     write_table,
-    _is_minimal,
+    _expand,
     _next_unset,
+    _root,
 )
 
 
@@ -93,7 +95,7 @@ def test_worker_count_is_bounded_by_tasks(monkeypatch):
 
     monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
     par = [s.gluing for s in enumerate_surfaces(6, workers=10**6)]
-    assert requested and requested[0] <= len(census._frontier(6, 3))
+    assert requested and requested[0] <= len(census._frontier(6, census._FRONTIER_DEPTH))
     assert par == [s.gluing for s in enumerate_surfaces(6)]
 
 
@@ -134,6 +136,16 @@ def test_filter_predicate():
     assert euler_and_genus(tran[0]).genus == 1
 
 
+def _is_minimal(surface):
+    """No start dart reads a smaller BFS code than the gluing itself."""
+    code = list(surface.gluing)
+    for start in range(1, surface.dart_count):
+        other = _bfs_code(surface, start, code)
+        if other is not None and other < code:
+            return False
+    return True
+
+
 def _leaf_only_search(T):
     """The census search before prefix rejection: every rooted gluing is
     completed to a leaf, and only the leaf test `_is_minimal` rejects."""
@@ -170,6 +182,61 @@ def test_pruning_keeps_every_class(census8):
     leaf_only = _leaf_only_search(8)
     assert [s.gluing for s in census8[8]] == leaf_only
     assert [s.gluing for s in enumerate_surfaces(8, workers=2)] == leaf_only
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_class_is_minimal(census8, workers):
+    for T in (2, 4, 6, 8):
+        classes = census8[T] if workers == 1 else enumerate_surfaces(T, workers=workers)
+        assert all(_is_minimal(s) for s in classes)
+
+
+def _prefix_order(gluing, start, n):
+    """The code from `start` compared with the root code over darts
+    0..n-1, read from its first entry: -1 or 1 at the first entry where
+    they differ, 0 if they tie until n or an undecided partner."""
+    label = [-1] * len(gluing)
+    f3 = start - start % 3
+    order = [start, f3 + (start + 1) % 3, f3 + (start + 2) % 3]
+    label[order[0]], label[order[1]], label[order[2]] = 0, 1, 2
+    for m in range(n):
+        p = gluing[order[m]]
+        if p == -1:
+            return 0
+        entry = label[p]
+        if entry == -1:
+            entry = len(order)
+            f3 = p - p % 3
+            q, r = f3 + (p + 1) % 3, f3 + (p + 2) % 3
+            label[p], label[q], label[r] = entry, entry + 1, entry + 2
+            order += (p, q, r)
+        if entry != gluing[m]:
+            return -1 if entry < gluing[m] else 1
+    return 0
+
+
+def test_resumed_codes_match_codes_read_from_scratch():
+    # every node of the T <= 8 search: the starts each child keeps, and
+    # whether the node is pruned, agree with codes read from entry 0
+    for T in (2, 4, 6, 8):
+        stack = [_root(T)]
+        while stack:
+            node = stack.pop()
+            gluing, opened, n, live = node
+            children = _expand(T, *node)
+            if n == 3 * opened and opened < T:
+                assert children is None
+                continue
+            starts = [state[0][0] for state in live]
+            orders = [_prefix_order(gluing, s, n) for s in starts]
+            if any(o < 0 for o in orders):
+                assert children is None
+                continue
+            assert children is not None
+            kept = [s for s, o in zip(starts, orders) if o == 0]
+            for child in children:
+                assert [state[0][0] for state in child[3]] == kept
+            stack.extend(children)
 
 
 def _automorphism_count(gluing):

@@ -100,6 +100,17 @@ def test_census_command(capsys, tmp_path):
     assert lines[0] == "T,genus,count,tran_count,lb_count"
 
 
+@pytest.mark.parametrize("name", ["tran", "lb"])
+def test_census_refuses_filter_with_out(capsys, tmp_path, name):
+    out_csv = tmp_path / "table.csv"
+    code = main(["census", "--tmax", "4", "--filter", name, "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: --out cannot be combined with --filter")
+    assert captured.out.strip().splitlines()[-1].startswith("RESULT: fail")
+    assert not out_csv.exists()
+
+
 def test_census_rejects_non_integer_max_t(capsys, monkeypatch):
     monkeypatch.setenv("EQUILAT_MAX_T", "abc")
     code = main(["census", "--tmax", "4"])
