@@ -213,8 +213,9 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover,
 
     Recomputes genera by Euler characteristic, ramification from vertex
     orbit degree ratios, branch counts from base degrees, and the
-    Riemann-Hurwitz identity per component; any mismatch with the stored
-    data raises with the first violated identity.
+    Riemann-Hurwitz identity per component, and checks each stored
+    translation structure dart by dart; any mismatch with the stored data
+    raises with the first violated identity.
     """
 
     def fail(msg):
@@ -246,8 +247,13 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover,
         reports = vertex_orbits(comp.surface)
         if any(r.degree % 6 != 0 for r in reports):
             fail(f"component {i} has a vertex degree not divisible by 6")
-        if detect_structures(comp.surface) is None:
-            fail(f"component {i} admits no translation structure")
+        # the stored weights obey both rules: opposite ends of an edge
+        # differ by zeta^3, the next side of a face by zeta^2
+        g, w = comp.surface.gluing, comp.structure.weights
+        if len(w) != len(g) or any(
+                w[g[d]] != (w[d] + 3) % 6 or w[d - d % 3 + (d + 1) % 3] != (w[d] + 2) % 6
+                for d in range(len(g))):
+            fail(f"stored translation structure wrong on component {i}")
         # critical points of the restricted covering from degree ratios;
         # component face i sits over the i-th smallest total-space face
         back = dict(enumerate(sorted(6 * f + k for f, k in comp.sheets)))

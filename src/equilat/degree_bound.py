@@ -19,6 +19,7 @@ from equilat.surface import (
     BOUNDARY,
     GluedSurface,
     SurfaceError,
+    _face_subdivision,
     _head_corner,
     corner_vertex_map,
     euler_and_genus,
@@ -26,7 +27,6 @@ from equilat.surface import (
     save_surface,
     subdivide,
     vertex_orbits,
-    _side_cell,
 )
 
 __all__ = [
@@ -152,9 +152,7 @@ def build_TH(d: int) -> TriangulatedDisk:
 @dataclass(frozen=True)
 class DegreeBoundResult:
     surface: GluedSurface  # B(S)
-    stage1: GluedSurface  # 4-subdivision
-    stage2: GluedSurface  # after TD -> TH replacement
-    centers: tuple  # (vertex id in stage1, degree) per replacement
+    centers: tuple  # (vertex id in the 4-subdivision, degree) per replacement
     sigma: float  # faces(B(S)) / T
     mu: Optional[float]  # |V_neq6(B)| / (|V_neq6(S)| + g)
 
@@ -265,8 +263,6 @@ def bounded_degree_map(surface: GluedSurface) -> DegreeBoundResult:
     mu = out_neq6 / denom if denom else None
     return DegreeBoundResult(
         surface=result,
-        stage1=stage1,
-        stage2=stage2,
         centers=tuple((r.vertex, r.degree) for r in high),
         sigma=result.face_count / surface.face_count,
         mu=mu,
@@ -321,24 +317,9 @@ def match_pattern(pattern: GluedSurface, target: GluedSurface,
     return assign
 
 
-_REF3 = subdivide(GluedSurface(1, (BOUNDARY,) * 3), 3)
-
-
-def _ref3_sides() -> tuple:
-    from equilat.surface import _subdivision_layout
-
-    up, _ = _subdivision_layout(3)
-    sides = []
-    for s in range(3):
-        darts = []
-        for t in range(3):
-            (x, y), side = _side_cell(3, s, t)
-            darts.append(3 * up[(x, y)] + side)
-        sides.append(tuple(darts))
-    return tuple(sides)
-
-
-_REF3_SIDES = _ref3_sides()
+# the 3-subdivided triangle and, per side, the darts carrying its sub-edges
+_REF3_GLUING, _REF3_SIDES = _face_subdivision(3)
+_REF3 = GluedSurface(9, _REF3_GLUING)
 
 
 @dataclass(frozen=True)
@@ -445,11 +426,6 @@ def check_tri_lb(surface: GluedSurface) -> LbCertificate:
     return LbCertificate(False, max_deg, "no 3-subdivision coarsening found", None, None, None)
 
 
-def _vertex_adjacency(surface: GluedSurface) -> list:
-    cv = corner_vertex_map(surface)
-    return [{cv[_head_corner(d)] for d in darts} for darts in surface.index.out_darts]
-
-
 @dataclass(frozen=True)
 class SeparationReport:
     ok: bool
@@ -464,7 +440,7 @@ def separation_check(surface: GluedSurface, cert: LbCertificate) -> SeparationRe
     reports = vertex_orbits(surface)
     neq6 = [r.vertex for r in reports if r.degree != 6]
     all_macro = set(neq6) <= cert.macro_vertices
-    adj = _vertex_adjacency(surface)
+    ix = surface.index
     targets = set(neq6)
     min_dist = None
     for v in neq6:
@@ -473,7 +449,8 @@ def separation_check(surface: GluedSurface, cert: LbCertificate) -> SeparationRe
         for step in (1, 2):
             nxt = []
             for u in frontier:
-                for w in adj[u]:
+                for d in ix.out_darts[u]:
+                    w = ix.corner_vertex[_head_corner(d)]
                     if w not in dist:
                         dist[w] = step
                         nxt.append(w)

@@ -29,9 +29,13 @@ __all__ = [
     "canonical_form",
     "random_surface",
     "relabel",
+    "MAX_FACES",
 ]
 
 BOUNDARY = -1
+
+# Largest face count that subdivide and random_surface will build.
+MAX_FACES = 10**6
 
 
 class SurfaceError(ValueError):
@@ -375,75 +379,60 @@ def save_surface(surface: GluedSurface) -> str:
 
 # --- subdivision ------------------------------------------------------------
 
-def _subdivision_layout(k: int):
-    """Index maps for the k-subdivision of one face.
+def _face_subdivision(k: int) -> tuple:
+    """Dart table of the k-subdivision of one face: (inner, sides).
 
     Upward cell (x,y) has corners (x,y),(x+1,y),(x,y+1); downward cell
     (x,y) has corners (x+1,y),(x+1,y+1),(x,y+1), both counterclockwise.
+    Cells are numbered upward first, row by row, then downward.  inner[d]
+    is the partner of dart d inside the face, or -1 on its border;
+    sides[s][t] is the dart carrying sub-edge t of the face's side s.
     """
     up = {}
     for y in range(k):
         for x in range(k - y):
-            up[(x, y)] = len(up)
-    down = {}
+            up[x, y] = 3 * len(up)
+    inner = [BOUNDARY] * (3 * k * k)
+    d = 3 * len(up)
     for y in range(k - 1):
         for x in range(k - 1 - y):
-            down[(x, y)] = len(down)
-    return up, down
-
-
-def _side_cell(k: int, s: int, t: int):
-    """Upward cell and its side carrying sub-edge t of original side s."""
-    if s == 0:
-        return (t, 0), 0
-    if s == 1:
-        return (k - 1 - t, t), 1
-    return (0, k - 1 - t), 2
+            # downward cell (x,y): sides 2, 1, 0 meet upward cells
+            # (x,y), (x,y+1) and (x+1,y)
+            for a, b in ((up[x, y] + 1, d + 2), (up[x, y + 1], d + 1),
+                         (up[x + 1, y] + 2, d)):
+                inner[a] = b
+                inner[b] = a
+            d += 3
+    sides = (tuple(up[t, 0] for t in range(k)),
+             tuple(up[k - 1 - t, t] + 1 for t in range(k)),
+             tuple(up[0, k - 1 - t] + 2 for t in range(k)))
+    return tuple(inner), sides
 
 
 def subdivide(surface: GluedSurface, k: int) -> GluedSurface:
     """Split every face into k^2 unit triangles.
 
     Original vertices persist with unchanged degree; new vertices are flat
-    (interior degree 6) or lie on the boundary.
+    (interior degree 6) or lie on the boundary.  Refuses outputs of more
+    than MAX_FACES faces.
     """
     if k < 2:
         raise SurfaceError("subdivision factor must be at least 2")
     T = surface.face_count
-    up, down = _subdivision_layout(k)
-    per = k * k
-    n_up = len(up)
-
-    def up_dart(f, x, y, s):
-        return 3 * (f * per + up[(x, y)]) + s
-
-    def down_dart(f, x, y, s):
-        return 3 * (f * per + n_up + down[(x, y)]) + s
-
-    gluing = [BOUNDARY] * (3 * per * T)
-
-    def glue(a, b):
-        gluing[a] = b
-        gluing[b] = a
-
-    for f in range(T):
-        for (x, y) in up:
-            if x + y <= k - 2:
-                glue(up_dart(f, x, y, 1), down_dart(f, x, y, 2))
-            if y > 0:
-                glue(up_dart(f, x, y, 0), down_dart(f, x, y - 1, 1))
-            if x > 0:
-                glue(up_dart(f, x, y, 2), down_dart(f, x - 1, y, 0))
+    if k * k * T > MAX_FACES:
+        raise SurfaceError(f"{k}-subdivision of {T} faces exceeds {MAX_FACES} faces")
+    inner, sides = _face_subdivision(k)
+    n = len(inner)
+    gluing = []
+    for off in range(0, n * T, n):
+        gluing.extend([BOUNDARY if p == BOUNDARY else p + off for p in inner])
+    # sub-edge t of a glued side meets sub-edge k-1-t of its partner side
     for d, p in enumerate(surface.gluing):
-        if p == BOUNDARY or p < d:
-            continue
-        f, s = divmod(d, 3)
-        f2, s2 = divmod(p, 3)
-        for t in range(k):
-            (x, y), side = _side_cell(k, s, t)
-            (x2, y2), side2 = _side_cell(k, s2, k - 1 - t)
-            glue(up_dart(f, x, y, side), up_dart(f2, x2, y2, side2))
-    return GluedSurface(per * T, tuple(gluing))
+        if p != BOUNDARY:
+            off, off2 = n * (d // 3), n * (p // 3)
+            for a, b in zip(sides[d % 3], reversed(sides[p % 3])):
+                gluing[off + a] = off2 + b
+    return GluedSurface(T * k * k, tuple(gluing))
 
 
 # --- conformal double -------------------------------------------------------
@@ -581,6 +570,8 @@ def random_surface(T: int, seed: int) -> GluedSurface:
     """
     if T < 2 or T % 2 != 0:
         raise SurfaceError("T must be even and at least 2")
+    if T > MAX_FACES:
+        raise SurfaceError(f"T={T} exceeds {MAX_FACES} faces")
     rng = random.Random(seed)
     for _ in range(_MAX_RETRIES):
         darts = list(range(3 * T))

@@ -1,5 +1,11 @@
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 
+import equilat
 from equilat.cli import main
 from equilat.surface import GluedSurface, save_surface
 
@@ -158,3 +164,29 @@ def test_non_ascii_byte_is_reported_by_line(capsys, tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["not-a-command"])
+
+
+def _limit_memory():
+    limit = 1_500_000_000
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ("subdivide", "{torus}", "-k", "100000", "-o", "{out}"),
+    ("random", "-T", "10000000000", "-o", "{out}"),
+], ids=["subdivide", "random"])
+def test_oversized_outputs_fail_cleanly(tmp_path, torus_path, argv):
+    # under a 1.5 GB address-space cap, as a runaway allocation would
+    # otherwise exhaust the host before failing
+    out = tmp_path / "out.tsf"
+    argv = [a.format(torus=torus_path, out=out) for a in argv]
+    src = os.path.dirname(os.path.dirname(equilat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "equilat.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=_limit_memory)
+    assert proc.returncode == 1
+    assert proc.stdout.strip().splitlines()[-1].startswith("RESULT: fail")
+    assert "exceeds 1000000 faces" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from equilat.surface import (
     vertex_orbits,
 )
 from equilat.degree_bound import bounded_degree_map, check_tri_lb
-from equilat.translation import detect_structures
+from equilat.translation import TranslationStructure, detect_structures
 from equilat.cover import canonical_cover, holonomy_cocycle, verify_cover
 
 
@@ -122,6 +123,19 @@ def test_verify_cover_passes_on_corpus(census8):
         assert report.ok
         assert sum(report.component_degrees) == 6
         assert report.component_count <= 6
+
+
+def test_verify_cover_checks_the_stored_structure():
+    surface = random_surface(8, 3)
+    cover = canonical_cover(surface)
+    comp = cover.components[0]
+    weights = list(comp.structure.weights)
+    for d in range(3):
+        weights[d] = (weights[d] + 1) % 6
+    tampered = replace(comp, structure=TranslationStructure(tuple(weights)))
+    cover = replace(cover, components=(tampered,) + cover.components[1:])
+    with pytest.raises(SurfaceError, match="structure wrong on component 0"):
+        verify_cover(surface, cover)
 
 
 def test_locally_bounded_base_gives_locally_bounded_cover():

@@ -122,11 +122,14 @@ def test_provenance_recovers_input_bit_exactly():
     assert save_surface(recovered) == save_surface(surface)
 
 
-def test_check_tri_lb_on_three_subdivision(hex_torus):
-    sub = subdivide(hex_torus, 3)
-    cert = check_tri_lb(sub)
-    assert cert.ok
-    assert canonical_form(cert.coarse) == canonical_form(hex_torus)
+def test_check_tri_lb_on_three_subdivision(census8):
+    bounded = [s for T in (2, 4, 6, 8) for s in census8[T]
+               if max(r.degree for r in vertex_orbits(s)) <= 7]
+    assert len(bounded) == 62
+    for surface in bounded:
+        cert = check_tri_lb(subdivide(surface, 3))
+        assert cert.ok
+        assert canonical_form(cert.coarse) == canonical_form(surface)
 
 
 def test_check_tri_lb_rejects_plain_torus(hex_torus):

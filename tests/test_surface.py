@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -334,6 +335,101 @@ BORDERED = ([build_TD(d).surface for d in range(2, 12)]
 @pytest.mark.parametrize("surface", BORDERED, ids=range(len(BORDERED)))
 def test_index_matches_oracle_on_bordered_blocks(surface):
     _check_index(surface)
+
+
+def _subdivide_oracle(surface, k):
+    """The k-subdivision glued dart by dart from cell coordinates.
+
+    Upward cell (x,y) has corners (x,y),(x+1,y),(x,y+1); downward cell
+    (x,y) has corners (x+1,y),(x+1,y+1),(x,y+1); upward cells are numbered
+    first, row by row, then downward cells.
+    """
+    up = [(x, y) for y in range(k) for x in range(k - y)]
+    down = [(x, y) for y in range(k - 1) for x in range(k - 1 - y)]
+    up_index = {c: i for i, c in enumerate(up)}
+    down_index = {c: len(up) + i for i, c in enumerate(down)}
+    per = k * k
+
+    def up_dart(f, x, y, s):
+        return 3 * (f * per + up_index[x, y]) + s
+
+    def down_dart(f, x, y, s):
+        return 3 * (f * per + down_index[x, y]) + s
+
+    def side_dart(f, s, t):
+        """Dart of face f's subdivision carrying sub-edge t of side s."""
+        if s == 0:
+            return up_dart(f, t, 0, 0)
+        if s == 1:
+            return up_dart(f, k - 1 - t, t, 1)
+        return up_dart(f, 0, k - 1 - t, 2)
+
+    gluing = [BOUNDARY] * (3 * per * surface.face_count)
+
+    def glue(a, b):
+        gluing[a] = b
+        gluing[b] = a
+
+    for f in range(surface.face_count):
+        for x, y in up:
+            if x + y <= k - 2:
+                glue(up_dart(f, x, y, 1), down_dart(f, x, y, 2))
+            if y > 0:
+                glue(up_dart(f, x, y, 0), down_dart(f, x, y - 1, 1))
+            if x > 0:
+                glue(up_dart(f, x, y, 2), down_dart(f, x - 1, y, 0))
+    for d, p in enumerate(surface.gluing):
+        if p != BOUNDARY and d < p:
+            for t in range(k):
+                glue(side_dart(d // 3, d % 3, t), side_dart(p // 3, p % 3, k - 1 - t))
+    return tuple(gluing)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_gluings, st.integers(min_value=2, max_value=6),
+       st.randoms(use_true_random=False))
+def test_subdivide_matches_oracle(gluing, k, rng):
+    cut = list(gluing)
+    for d in rng.sample(range(len(cut)), rng.randrange(len(cut) + 1)):
+        if cut[d] != BOUNDARY:
+            cut[cut[d]] = cut[d] = BOUNDARY
+    for surface in (GluedSurface(len(gluing) // 3, gluing),
+                    GluedSurface(len(cut) // 3, tuple(cut))):
+        assert subdivide(surface, k).gluing == _subdivide_oracle(surface, k)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_subdivide_matches_oracle_on_bordered_blocks(k):
+    for surface in BORDERED:
+        assert subdivide(surface, k).gluing == _subdivide_oracle(surface, k)
+
+
+def test_face_limit_bounds_subdivide_and_random_surface(hex_torus, monkeypatch):
+    monkeypatch.setattr(equilat.surface, "MAX_FACES", 18)
+    assert subdivide(hex_torus, 3).face_count == 18
+    assert random_surface(18, 0).face_count == 18
+    with pytest.raises(SurfaceError, match="exceeds 18 faces"):
+        subdivide(hex_torus, 4)
+    with pytest.raises(SurfaceError, match="exceeds 18 faces"):
+        random_surface(20, 0)
+
+
+@pytest.mark.parametrize("build", [
+    # 2 * 708^2 faces is just over the limit
+    lambda torus: subdivide(torus, 708),
+    lambda torus: random_surface(10**10, 0),
+], ids=["subdivide", "random_surface"])
+def test_oversized_outputs_are_refused_before_allocating(hex_torus, build):
+    limit = equilat.surface.MAX_FACES
+    assert 2 * 708 ** 2 > limit
+    tracemalloc.start()
+    try:
+        with pytest.raises(SurfaceError, match=f"exceeds {limit} faces"):
+            build(hex_torus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_components_of_disconnected_gluings(hex_torus, pillowcase):
