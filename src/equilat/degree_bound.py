@@ -13,6 +13,7 @@ degree 7, the same genus, and a coarsening certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from equilat.surface import (
@@ -278,48 +279,93 @@ def recover_original(surface: GluedSurface) -> GluedSurface:
 
 # --- pattern matching and coarsening ----------------------------------------
 
+# dart d + o1 is the next side of d's face and d + o2 the one after,
+# for (o1, o2) = _NEXT_SIDES[d % 3]
+_NEXT_SIDES = ((1, 2), (1, -1), (-2, -1))
+
+
+def _compile_pattern(gluing, start_dart: int) -> tuple:
+    """Straight-line program that matches a pattern from one of its darts.
+
+    Walks the pattern's faces once, breadth first from the face of
+    start_dart, listing each face's darts in rotation order from the one
+    it is entered by.  Returns (darts, steps, checks, complete): darts[i]
+    is the pattern dart whose image the walk puts at position i; the
+    (j+1)-th face is entered through the partner of position steps[j];
+    checks holds the position pairs of the other interior gluings;
+    complete tells whether every face was reached.
+    """
+    darts, steps, checks = [], [], []
+    pos = {}
+
+    def enter(d):
+        o1, o2 = _NEXT_SIDES[d % 3]
+        for x in (d, d + o1, d + o2):
+            pos[x] = len(darts)
+            darts.append(x)
+
+    enter(start_dart)
+    for i, d in enumerate(darts):  # grows while it is read
+        p = gluing[d]
+        if p == BOUNDARY:
+            continue
+        j = pos.get(p)
+        if j is None:
+            steps.append(i)
+            enter(p)
+        elif j > i:
+            checks.append((i, j))
+    return tuple(darts), tuple(steps), tuple(checks), len(darts) == len(gluing)
+
+
+def _walk(program, gluing, dart: int) -> Optional[list]:
+    """Run a compiled pattern on a target gluing, pattern start -> dart.
+
+    Returns the target image of each program position, or None when an
+    interior pattern gluing meets the target's boundary or another
+    gluing, or when two pattern faces land on one target face.
+    """
+    _, steps, checks, _ = program
+    o1, o2 = _NEXT_SIDES[dart % 3]
+    img = [dart, dart + o1, dart + o2]
+    for i in steps:
+        x = gluing[img[i]]
+        if x < 0:
+            return None
+        o1, o2 = _NEXT_SIDES[x % 3]
+        img += (x, x + o1, x + o2)
+    for i, j in checks:
+        if gluing[img[i]] != img[j]:
+            return None
+    if len(set(img)) != len(img):
+        return None  # distinct faces have disjoint darts
+    return img
+
+
 def match_pattern(pattern: GluedSurface, target: GluedSurface,
                   pattern_dart: int, target_dart: int) -> Optional[dict]:
     """Simplicial map pattern -> target with the given dart correspondence.
 
     Interior gluings of the pattern must map to gluings of the target; the
     pattern's boundary is unconstrained.  Returns {pattern face: (target
-    face, rotation)} or None when no consistent injective map exists.
+    face, rotation)} or None when no consistent injective map exists or
+    the pattern is disconnected.
     """
-    pf0, ps0 = divmod(pattern_dart, 3)
-    tf0, ts0 = divmod(target_dart, 3)
-    assign = {pf0: (tf0, (ts0 - ps0) % 3)}
-    used = {tf0}
-    queue = [pf0]
-    while queue:
-        pf = queue.pop()
-        tf, rot = assign[pf]
-        for s in range(3):
-            pp = pattern.gluing[3 * pf + s]
-            if pp == BOUNDARY:
-                continue
-            tp = target.gluing[3 * tf + (s + rot) % 3]
-            if tp == BOUNDARY:
-                return None
-            pf2, ps2 = divmod(pp, 3)
-            want = (tp // 3, (tp % 3 - ps2) % 3)
-            if pf2 in assign:
-                if assign[pf2] != want:
-                    return None
-            else:
-                if want[0] in used:
-                    return None
-                assign[pf2] = want
-                used.add(want[0])
-                queue.append(pf2)
-    if len(assign) != pattern.face_count:
-        return None  # pattern disconnected; not expected here
-    return assign
+    program = _compile_pattern(pattern.gluing, pattern_dart)
+    darts, _, _, complete = program
+    img = _walk(program, target.gluing, target_dart) if complete else None
+    if img is None:
+        return None
+    return {darts[i] // 3: (img[i] // 3, (img[i] - darts[i]) % 3)
+            for i in range(0, len(img), 3)}
 
 
-# the 3-subdivided triangle and, per side, the darts carrying its sub-edges
-_REF3_GLUING, _REF3_SIDES = _face_subdivision(3)
-_REF3 = GluedSurface(9, _REF3_GLUING)
+# the 3-subdivided triangle matched from its dart 0, and per side a getter
+# of the images of the darts carrying its sub-edges, in order
+_REF3_GLUING, _REF3_SIDE_DARTS = _face_subdivision(3)
+_REF3_PROGRAM = _compile_pattern(_REF3_GLUING, 0)
+_REF3_SIDES = tuple(itemgetter(*(_REF3_PROGRAM[0].index(d) for d in side))
+                    for side in _REF3_SIDE_DARTS)
 
 
 @dataclass(frozen=True)
@@ -334,29 +380,24 @@ class LbCertificate:
 
 def _try_coarsening(surface: GluedSurface, seed_dart: int):
     """Grow a partition into 9-face macro triangles from one corner dart."""
+    gluing = surface.gluing
     owner = [-1] * surface.face_count
     macro = []  # per macro face: sides = 3 lists of small darts in order
     first_of_side = {}
 
     def claim(dart):
-        assign = match_pattern(_REF3, surface, 0, dart)
-        if assign is None:
+        img = _walk(_REF3_PROGRAM, gluing, dart)
+        if img is None:
             return None
         mid = len(macro)
-        sides = []
+        sides = [side(img) for side in _REF3_SIDES]
         for s in range(3):
-            imgs = []
-            for pd in _REF3_SIDES[s]:
-                pf, ps = divmod(pd, 3)
-                tf, rot = assign[pf]
-                imgs.append(3 * tf + (ps + rot) % 3)
-            sides.append(tuple(imgs))
-            first_of_side[imgs[0]] = (mid, s)
-        for pf, (tf, _) in assign.items():
-            if owner[tf] != -1:
+            first_of_side[sides[s][0]] = (mid, s)
+        for x in img[::3]:
+            if owner[x // 3] != -1:
                 return None
-            owner[tf] = mid
-        macro.append(tuple(sides))
+            owner[x // 3] = mid
+        macro.append(sides)
         return mid
 
     if claim(seed_dart) is None:
@@ -366,7 +407,7 @@ def _try_coarsening(surface: GluedSurface, seed_dart: int):
         sides = macro[head]
         for s in range(3):
             imgs = sides[s]
-            rev = tuple(surface.gluing[d] for d in reversed(imgs))
+            rev = tuple([gluing[d] for d in reversed(imgs)])
             if BOUNDARY in rev:
                 return None
             if rev[0] in first_of_side:
@@ -379,18 +420,18 @@ def _try_coarsening(surface: GluedSurface, seed_dart: int):
                 if claim(rev[0]) is None:
                     return None
         head += 1
-    if any(o == -1 for o in owner):
+    if -1 in owner:
         return None  # disconnected leftovers
     # assemble the coarse surface
     coarse_gluing = [BOUNDARY] * (3 * len(macro))
     for mid, sides in enumerate(macro):
         for s in range(3):
-            rev0 = surface.gluing[sides[s][-1]]
+            rev0 = gluing[sides[s][-1]]
             mid2, s2 = first_of_side[rev0]
             coarse_gluing[3 * mid + s] = 3 * mid2 + s2
     coarse = GluedSurface(len(macro), tuple(coarse_gluing))
-    cv = corner_vertex_map(surface)
-    macro_vertices = frozenset(cv[sides[s][0]] for sides in macro for s in range(3))
+    cv = surface.index.corner_vertex
+    macro_vertices = frozenset(cv[side[0]] for sides in macro for side in sides)
     return coarse, macro_vertices, tuple(owner)
 
 
@@ -411,8 +452,7 @@ def check_tri_lb(surface: GluedSurface) -> LbCertificate:
         return LbCertificate(False, max_deg, "face count not divisible by 9", None, None, None)
     neq6 = [r.vertex for r in reports if r.degree != 6]
     if neq6:
-        by_vertex = {r.vertex: r for r in reports}
-        seeds = list(by_vertex[neq6[0]].corners)
+        seeds = list(reports[neq6[0]].corners)
     else:
         seeds = list(range(surface.dart_count))
     for seed in seeds:
@@ -472,7 +512,7 @@ def th_center_candidates(surface: GluedSurface) -> dict:
     reports = [r for r in vertex_orbits(surface) if not r.boundary and 4 <= r.degree <= 7]
     out = {}
     th_cache = {}
-    target_cv = corner_vertex_map(surface)
+    target_cv = surface.index.corner_vertex
     for rep in reports:
         found = set()
         # faces(TH_d) > d, so larger d cannot embed
@@ -482,24 +522,24 @@ def th_center_candidates(surface: GluedSurface) -> dict:
                 continue
             if d not in th_cache:
                 block = build_TH(d)
-                center_corner = block.surface.index.vertices[block.center].corners[0]
-                th_cache[d] = (block, center_corner, corner_vertex_map(block.surface))
-            block, pc, pattern_cv = th_cache[d]
+                ix = block.surface.index
+                center_corner = ix.vertices[block.center].corners[0]
+                program = _compile_pattern(block.surface.gluing, center_corner)
+                th_cache[d] = (block, program, ix.corner_vertex)
+            block, program, pattern_cv = th_cache[d]
             if block.surface.face_count > surface.face_count:
                 continue
             for c in rep.corners:
-                assign = match_pattern(block.surface, surface, pc, c)
-                if assign is not None and _vertex_injective(assign, pattern_cv, target_cv):
+                img = _walk(program, surface.gluing, c)
+                if img is not None and _vertex_injective(program[0], img,
+                                                         pattern_cv, target_cv):
                     found.add(d)
                     break
         out[rep.vertex] = found
     return out
 
 
-def _vertex_injective(assign: dict, pattern_cv, target_cv) -> bool:
-    """True when the face map induces an injective vertex map."""
-    vmap = {}
-    for pf, (tf, rot) in assign.items():
-        for s in range(3):
-            vmap[pattern_cv[3 * pf + s]] = target_cv[3 * tf + (s + rot) % 3]
+def _vertex_injective(darts, img, pattern_cv, target_cv) -> bool:
+    """True when the dart map darts[i] -> img[i] is injective on vertices."""
+    vmap = {pattern_cv[d]: target_cv[x] for d, x in zip(darts, img)}
     return len(set(vmap.values())) == len(vmap)

@@ -180,15 +180,22 @@ def test_acceptance_8_census_oracle():
     report(8, ok, "T=2,4 match the brute-force oracle; 1 and 8 workers agree")
 
 
+def _shoelace(points):
+    """Twice the signed area of a closed polygon of points a + b*w, in units
+    of sqrt(3)/2: the sum of a_i*b_(i+1) - a_(i+1)*b_i, as Im(w) = sqrt(3)/2."""
+    return sum(p.a * q.b - q.a * p.b for p, q in zip(points, points[1:] + points[:1]))
+
+
 def test_acceptance_9_area_identity(tran_lb_corpus):
-    # flat_area counts unit triangles, each of area sqrt(3)/4; the
-    # decomposition must tile exactly: each ell x w face holds 2*ell*w units
+    # each unit triangle has area sqrt(3)/4, so the developed parallelograms'
+    # shoelace sums (in units of sqrt(3)/4) must add up to the face count;
+    # the decomposition must tile exactly: each ell x w face holds 2*ell*w units
     ok = True
     for surface, st in tran_lb_corpus:
-        ok = ok and flat_area(surface) == surface.face_count
         _, geoms = decompose(surface, st)
+        ok = ok and sum(_shoelace(g.development) for g in geoms) == surface.face_count
         ok = ok and sum(2 * g.length * g.width for g in geoms) == flat_area(surface)
     hexes = subdivide(GluedSurface(2, (3, 4, 5, 0, 1, 2)), 5)
     ok = ok and flat_area(hexes) == 50
-    report(9, ok, "flat area equals sqrt(3)/4 per triangle and the "
-                  "parallelogram tiles sum to it")
+    report(9, ok, "developed parallelogram areas sum to sqrt(3)/4 per "
+                  "triangle and the tiles' 2*ell*w units sum to the flat area")

@@ -1,9 +1,16 @@
+import random
+from collections import Counter
+
 import pytest
 
 from equilat.surface import (
+    BOUNDARY,
     GluedSurface,
     SurfaceError,
+    _face_subdivision,
     canonical_form,
+    conformal_double,
+    corner_vertex_map,
     euler_and_genus,
     random_surface,
     save_surface,
@@ -11,6 +18,7 @@ from equilat.surface import (
     vertex_orbits,
 )
 from equilat.degree_bound import (
+    _try_coarsening,
     bounded_degree_map,
     build_TD,
     build_TH,
@@ -169,6 +177,193 @@ def test_th_center_candidates_at_most_two():
 
 def _close_disk(disk):
     """Double the disk across its boundary to get a closed surface."""
-    from equilat.surface import conformal_double
-
     return conformal_double(disk.surface)
+
+
+# --- reference oracles for the compiled matcher ------------------------------
+
+def _oracle_match_pattern(pattern, target, pattern_dart, target_dart):
+    """Face-by-face search, one face at a time off a stack."""
+    pf0, ps0 = divmod(pattern_dart, 3)
+    tf0, ts0 = divmod(target_dart, 3)
+    assign = {pf0: (tf0, (ts0 - ps0) % 3)}
+    used = {tf0}
+    queue = [pf0]
+    while queue:
+        pf = queue.pop()
+        tf, rot = assign[pf]
+        for s in range(3):
+            pp = pattern.gluing[3 * pf + s]
+            if pp == BOUNDARY:
+                continue
+            tp = target.gluing[3 * tf + (s + rot) % 3]
+            if tp == BOUNDARY:
+                return None
+            pf2, ps2 = divmod(pp, 3)
+            want = (tp // 3, (tp % 3 - ps2) % 3)
+            if pf2 in assign:
+                if assign[pf2] != want:
+                    return None
+            else:
+                if want[0] in used:
+                    return None
+                assign[pf2] = want
+                used.add(want[0])
+                queue.append(pf2)
+    if len(assign) != pattern.face_count:
+        return None
+    return assign
+
+
+_REF3_GLUING, _REF3_SIDE_DARTS = _face_subdivision(3)
+_REF3 = GluedSurface(9, _REF3_GLUING)
+
+
+def _oracle_try_coarsening(surface, seed_dart):
+    """Claim each macro triangle with the oracle matcher against _REF3."""
+    owner = [-1] * surface.face_count
+    macro = []
+    first_of_side = {}
+
+    def claim(dart):
+        assign = _oracle_match_pattern(_REF3, surface, 0, dart)
+        if assign is None:
+            return None
+        mid = len(macro)
+        sides = []
+        for s in range(3):
+            imgs = []
+            for pd in _REF3_SIDE_DARTS[s]:
+                pf, ps = divmod(pd, 3)
+                tf, rot = assign[pf]
+                imgs.append(3 * tf + (ps + rot) % 3)
+            sides.append(tuple(imgs))
+            first_of_side[imgs[0]] = (mid, s)
+        for pf, (tf, _) in assign.items():
+            if owner[tf] != -1:
+                return None
+            owner[tf] = mid
+        macro.append(tuple(sides))
+        return mid
+
+    if claim(seed_dart) is None:
+        return None
+    head = 0
+    while head < len(macro):
+        sides = macro[head]
+        for s in range(3):
+            rev = tuple(surface.gluing[d] for d in reversed(sides[s]))
+            if BOUNDARY in rev:
+                return None
+            if rev[0] in first_of_side:
+                mid2, s2 = first_of_side[rev[0]]
+                if macro[mid2][s2] != rev:
+                    return None
+            else:
+                if owner[rev[0] // 3] != -1:
+                    return None
+                if claim(rev[0]) is None:
+                    return None
+        head += 1
+    if any(o == -1 for o in owner):
+        return None
+    coarse_gluing = [BOUNDARY] * (3 * len(macro))
+    for mid, sides in enumerate(macro):
+        for s in range(3):
+            mid2, s2 = first_of_side[surface.gluing[sides[s][-1]]]
+            coarse_gluing[3 * mid + s] = 3 * mid2 + s2
+    cv = corner_vertex_map(surface)
+    macro_vertices = frozenset(cv[sides[s][0]] for sides in macro for s in range(3))
+    return GluedSurface(len(macro), tuple(coarse_gluing)), macro_vertices, tuple(owner)
+
+
+def _disjoint_union(*surfaces):
+    gluing = []
+    for s in surfaces:
+        off = len(gluing)
+        gluing.extend(p if p == BOUNDARY else p + off for p in s.gluing)
+    return GluedSurface(len(gluing) // 3, tuple(gluing))
+
+
+def _repair_two_edges(surface, rng):
+    """Re-pair two glued edges a-b, c-d as a-c, b-d (a closed non-subdivision)."""
+    g = list(surface.gluing)
+    while True:
+        a, c = rng.sample(range(len(g)), 2)
+        b, d = g[a], g[c]
+        if len({a, b, c, d}) == 4:
+            break
+    g[a], g[c], g[b], g[d] = c, a, d, b
+    return GluedSurface(surface.face_count, tuple(g))
+
+
+def test_match_pattern_matches_oracle(census8):
+    rng = random.Random(20261018)
+    blocks = [build_TD(d).surface for d in (3, 5, 6, 7)]
+    blocks += [build_TH(d).surface for d in (8, 9, 16)]
+    patterns = blocks + [_REF3, _disjoint_union(_REF3, build_TD(6).surface),
+                         _disjoint_union(build_TD(4).surface, build_TD(4).surface)]
+    targets = list(census8[6][:12]) + [subdivide(s, 3) for s in census8[4]]
+    targets += [random_surface(T, seed) for T, seed in ((10, 3), (18, 4), (40, 5))]
+    targets += [conformal_double(b) for b in blocks]
+    outcomes = Counter()
+    for pattern in patterns:
+        for target in targets:
+            for _ in range(20):
+                pd = rng.randrange(pattern.dart_count)
+                td = rng.randrange(target.dart_count)
+                want = _oracle_match_pattern(pattern, target, pd, td)
+                assert match_pattern(pattern, target, pd, td) == want
+                outcomes[want is not None] += 1
+    # each block embeds in its own double at the same darts
+    for block in blocks:
+        double = conformal_double(block)
+        for d in range(0, block.dart_count, 5):
+            want = _oracle_match_pattern(block, double, d, d)
+            assert want is not None
+            assert match_pattern(block, double, d, d) == want
+            outcomes[True] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def _coarsening_cases(census8):
+    rng = random.Random(9)
+    for T in (2, 4, 6):
+        for s in census8[T]:
+            sub = subdivide(s, 3)
+            yield sub, range(sub.dart_count)
+    for seed in range(4):
+        closed = random_surface(18, 100 + seed)
+        yield closed, range(closed.dart_count)
+    for s in census8[4] + census8[6][:6]:
+        broken = _repair_two_edges(subdivide(s, 3), rng)
+        yield broken, range(broken.dart_count)
+    for T, seed in ((10, 1), (14, 2)):
+        b = bounded_degree_map(random_surface(T, seed)).surface
+        yield b, range(seed, b.dart_count, 97)
+
+
+def test_try_coarsening_matches_oracle(census8):
+    outcomes = Counter()
+    for surface, seeds in _coarsening_cases(census8):
+        for seed in seeds:
+            want = _oracle_try_coarsening(surface, seed)
+            assert _try_coarsening(surface, seed) == want
+            outcomes[want is not None] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+@pytest.mark.parametrize("T, seed", [(10, 7), (14, 8)])
+def test_certificate_recovers_stage_two(T, seed):
+    surface = random_surface(T, seed)
+    stage1 = subdivide(surface, 4)
+    high = sorted((r for r in vertex_orbits(stage1) if r.degree > 7),
+                  key=lambda r: r.vertex)
+    assert high
+    stage2 = replace_stars(stage1, high, [build_TH(r.degree) for r in high])
+    cert = check_tri_lb(bounded_degree_map(surface).surface)
+    assert cert.ok
+    assert canonical_form(cert.coarse) == canonical_form(stage2)
+    sizes = Counter(cert.face_owner)
+    assert sorted(sizes) == list(range(cert.coarse.face_count))
+    assert set(sizes.values()) == {9}
