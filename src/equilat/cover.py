@@ -74,8 +74,7 @@ def holonomy_cocycle(surface: GluedSurface) -> Holonomy6:
     refs = [None] * surface.face_count
     refs[0] = 0
     queue = [0]
-    while queue:
-        f = queue.pop(0)
+    for f in queue:  # breadth first; queue grows while it is read
         for s in range(3):
             d = 3 * f + s
             f2 = surface.gluing[d] // 3

@@ -23,7 +23,7 @@ from equilat.surface import (
     euler_and_genus,
     vertex_orbits,
 )
-from equilat.translation import TranslationStructure, build_period_map
+from equilat.translation import TranslationStructure, _potentials
 
 __all__ = [
     "TrajectoryComplex",
@@ -215,10 +215,10 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
             raise SurfaceError("region boundary is not a single closed walk")
         region_objs.append(Region(rid, faces, walks[rid][0]))
     # relative periods between polytope vertices lie in the index-9 sublattice
-    pm = build_period_map(surface, st, base_vertex=min(vb))
-    base = pm.potentials[min(vb)]
+    base = min(vb)
+    potentials, _ = _potentials(surface, st, base)
     for v in sorted(vb):
-        if not (pm.potentials[v] - base).in_sublattice(3):
+        if not (potentials[v] - potentials[base]).in_sublattice(3):
             raise SurfaceError(f"polytope vertex {v} at period outside 3Z+3wZ")
     return PolytopeB(frozenset(vb), tuple(runs), tuple(region_objs), A)
 

@@ -84,6 +84,8 @@ class GluedSurface:
         return BOUNDARY not in self.gluing
 
     def boundary_darts(self) -> list:
+        if self.is_closed():
+            return []
         return [d for d, p in enumerate(self.gluing) if p == BOUNDARY]
 
     def is_connected(self) -> bool:
@@ -103,8 +105,7 @@ class GluedSurface:
         return state
 
 
-@dataclass(frozen=True)
-class VertexReport:
+class VertexReport(NamedTuple):
     """One vertex orbit: its corners in rotation order and its degree.
 
     The degree counts edge ends at the vertex; for a boundary vertex this
@@ -132,11 +133,6 @@ def _head_corner(dart: int) -> int:
     return 3 * f + (s + 1) % 3
 
 
-def _incoming_dart(corner: int) -> int:
-    f, s = divmod(corner, 3)
-    return 3 * f + (s + 2) % 3
-
-
 class SurfaceIndex(NamedTuple):
     """Combinatorial facts of one gluing, computed together on first use.
 
@@ -157,21 +153,28 @@ class SurfaceIndex(NamedTuple):
 
 def _build_index(gluing: tuple) -> SurfaceIndex:
     n = len(gluing)
+    # succ[c] is the next corner around the vertex of corner c: the head
+    # corner of the partner of c's outgoing dart, or -1 past an unmatched
+    # dart.  On a closed surface it is a permutation.
+    head = list(range(1, n + 1))
+    head[2::3] = range(0, n, 3)
     closed = BOUNDARY not in gluing
+    if closed:
+        succ = list(map(head.__getitem__, gluing))
+    else:
+        succ = [BOUNDARY if p == BOUNDARY else head[p] for p in gluing]
     corner_vertex = [-1] * n
     vertices = []
-    out_darts = []
     for c0 in range(n):
         if corner_vertex[c0] != -1:
             continue
         # The upward scan meets each orbit at its smallest corner, so vertex
-        # ids follow smallest corners.  On a closed surface the rotation
-        # c -> head corner of gluing[c] is a permutation and the orbit is
+        # ids follow smallest corners.  On a closed surface the orbit is
         # listed from c0; with boundary, rewind along incoming darts to the
         # start of the fan.
         start = c0
         while not closed:
-            p = gluing[_incoming_dart(start)]
+            p = gluing[start + 2 if start % 3 == 0 else start - 1]  # incoming dart
             if p == BOUNDARY:
                 break
             if p == c0:  # full circle: an interior vertex
@@ -179,47 +182,38 @@ def _build_index(gluing: tuple) -> SurfaceIndex:
                 break
             start = p  # the previous corner is the tail of p
         v = len(vertices)
-        corners = []
-        c = start
-        boundary = False
-        while True:
+        corners = [start]
+        corner_vertex[start] = v
+        c = succ[start]
+        while c != start and c != BOUNDARY:
             corners.append(c)
             corner_vertex[c] = v
-            p = gluing[c]
-            if p == BOUNDARY:
-                boundary = True
-                break
-            c = p - 2 if p % 3 == 2 else p + 1
-            if c == start:
-                break
+            c = succ[c]
+        boundary = c == BOUNDARY
         degree = len(corners) + 1 if boundary else len(corners)
         vertices.append(VertexReport(v, degree, boundary, tuple(corners)))
-        out_darts.append(tuple(sorted(corners)))
-    return SurfaceIndex(tuple(vertices), tuple(corner_vertex), tuple(out_darts),
-                        _face_components(gluing))
+    # one pass over the corners in ascending order lists each vertex's darts
+    out_darts = [[] for _ in vertices]
+    for c, v in enumerate(corner_vertex):
+        out_darts[v].append(c)
+    return SurfaceIndex(tuple(vertices), tuple(corner_vertex),
+                        tuple(map(tuple, out_darts)), _face_components(gluing))
 
 
 def _face_components(gluing) -> tuple:
     T = len(gluing) // 3
-    comp = [-1] * T
+    seen = [False] * T
     comps = []
     for f0 in range(T):
-        if comp[f0] != -1:
+        if seen[f0]:
             continue
+        seen[f0] = True
         faces = [f0]
-        comp[f0] = len(comps)
-        stack = [f0]
-        while stack:
-            f = stack.pop()
-            for s in range(3):
-                p = gluing[3 * f + s]
-                if p == BOUNDARY:
-                    continue
-                f2 = p // 3
-                if comp[f2] == -1:
-                    comp[f2] = len(comps)
-                    faces.append(f2)
-                    stack.append(f2)
+        for f in faces:  # breadth first; faces grows while it is read
+            for p in gluing[3 * f:3 * f + 3]:
+                if p != BOUNDARY and not seen[p // 3]:
+                    seen[p // 3] = True
+                    faces.append(p // 3)
         comps.append(tuple(sorted(faces)))
     return tuple(comps)
 
@@ -270,8 +264,8 @@ def euler_and_genus(surface: GluedSurface) -> SurfaceStats:
     if not surface.is_connected():
         raise SurfaceError("surface is disconnected; split it first")
     T = surface.face_count
-    matched = sum(1 for p in surface.gluing if p != BOUNDARY)
-    unmatched = 3 * T - matched
+    unmatched = surface.gluing.count(BOUNDARY)
+    matched = 3 * T - unmatched
     E = matched // 2 + unmatched
     V = len(surface.index.vertices)
     chi = V - E + T

@@ -119,29 +119,39 @@ class PeriodMap:
     holonomies: tuple
 
 
+def _potentials(surface: GluedSurface, st: TranslationStructure, base: int) -> tuple:
+    """Breadth-first spanning-tree potentials from vertex `base`.
+
+    Returns (potentials, tree): potentials[v] is the period of the tree path
+    from base to v, and tree[d] is True when dart d carries a tree edge from
+    its tail.
+    """
+    cv, out_darts = surface.index.corner_vertex, surface.index.out_darts
+    potentials = [None] * len(out_darts)
+    potentials[base] = ZERO
+    tree = [False] * surface.dart_count
+    queue = [base]
+    for v in queue:  # breadth first; queue grows while it is read
+        pv = potentials[v]
+        for d in out_darts[v]:
+            w = cv[d - 2 if d % 3 == 2 else d + 1]  # head of d
+            if potentials[w] is None:
+                potentials[w] = pv + ROOTS6[st.weights[d]]
+                tree[d] = True
+                queue.append(w)
+    return potentials, tree
+
+
 def build_period_map(surface: GluedSurface, st: TranslationStructure,
                      base_vertex: Optional[int] = None) -> PeriodMap:
     if not surface.is_connected():
         raise SurfaceError("period map requires a connected surface")
-    cv = corner_vertex_map(surface)
-    out_darts = surface.index.out_darts
     base = 0 if base_vertex is None else base_vertex
-    potentials = [None] * len(out_darts)
-    potentials[base] = ZERO
-    tree_edges = set()
-    queue = [base]
-    while queue:
-        v = queue.pop(0)
-        for d in out_darts[v]:
-            w = cv[_head_corner(d)]
-            if potentials[w] is None:
-                potentials[w] = potentials[v] + st.period(d)
-                tree_edges.add(frozenset((d, surface.gluing[d])))
-                queue.append(w)
+    potentials, tree = _potentials(surface, st, base)
+    cv = surface.index.corner_vertex
     holonomies = []
-    for d in range(surface.dart_count):
-        p = surface.gluing[d]
-        if p != BOUNDARY and d < p and frozenset((d, p)) not in tree_edges:
+    for d, p in enumerate(surface.gluing):
+        if p != BOUNDARY and d < p and not (tree[d] or tree[p]):
             tail, head = cv[d], cv[_head_corner(d)]
             holonomies.append((d, potentials[tail] + st.period(d) - potentials[head]))
     return PeriodMap(base, tuple(potentials), tuple(holonomies))

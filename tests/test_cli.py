@@ -190,3 +190,95 @@ def test_oversized_outputs_fail_cleanly(tmp_path, torus_path, argv):
     assert "exceeds 1000000 faces" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+# sha256 of the stdout and of every written file of each command below, on
+# three seeded inputs, with the tmp directory replaced by "<tmp>" in each.
+# Recorded from an implementation whose outputs were checked by the other
+# tests; a change that keeps behaviour keeps every byte.
+RECORDED_DIGESTS = {
+    's1 cover':
+        'f549d900026c90d4297e980e398d0d2d756adf35a9359461919130d681eddeee',
+    's1 decompose component0.tsf':
+        'a6e1eb08879c6a99dce8a50db82ab4dc1403694fe8c3ed4dd96ffc9f34e34f75',
+    's1 degree-bound':
+        '93b22f6a4357dc54a6547b6ffb2f48364abed0f85f6d7b71d6338caa5fdc857c',
+    's1 stats':
+        '927fb52db7c51b53451464bb593c878be5b056106bb3c5c255a9dd9ab7e6dcf9',
+    's1 tran component0.tsf':
+        'fd253044bd1ac73c4a60028dad8e479e39ff7c1632f37292b24b377022ed5cad',
+    's1/B.tsf':
+        '1acaf785488034a64f3ead5d5588ba57f4047d202a9090f6a73d2697605341db',
+    's1/cover/component0.tsf':
+        '81529356b09127594757cbe8592fbbdd4f0f1c168e9627a1e266deb689fe3585',
+    's1/cover/manifest.txt':
+        '7b613b88246c5305f187d3d91cbb9822c55fa25b2cf8ab7302a7ac025bae2098',
+    's2 cover':
+        '0c8bf63f0ac8be7170351ada451ec4b6f6afc3be0a0359fe8188252a4108460f',
+    's2 decompose component0.tsf':
+        'bb74804680fb1a331a5ddf989e20a8325059f90fd76c9a565d7cdc659b07ba98',
+    's2 degree-bound':
+        '03acaa2da5dc3595f0985bd10e4f185b1660cda1a9221ac2c6e3c3e2d127c743',
+    's2 stats':
+        '68b5d8a335f21a08cbabc4bf4b42ae20ba643b027d5af0892d0d5101dedc869e',
+    's2 tran component0.tsf':
+        '14b121e7f49be4bc92e920d9d8335a7d825ddfa8768f2fcba76a95d391d88f2c',
+    's2/B.tsf':
+        'c5566236d1d616c4182d9e3960580bd4626eed4d64c1cbd394aaa8c47ee9902b',
+    's2/cover/component0.tsf':
+        'e8a3d5655c69c4407fb09cc22ebcc0586641374a8a3d14f05b9b37f337685b4d',
+    's2/cover/manifest.txt':
+        '25130336a88d6a026742e0ae54a3822d68cb4bf91c657be6f98fb5e26ccc97d4',
+    's3 cover':
+        'f9fa0a921e1bf7ace88ff2cad9c2ead470f6ecfb7e76ce3e0a66459df4520f24',
+    's3 decompose component0.tsf':
+        '038221a511bb79dec3885f55ed410b09c1ee7da085a89b851a5d38b97401b58a',
+    's3 degree-bound':
+        '36fbc353a7e0fb13245699811eb2350080f7d804e8426465c185080e3e4d0127',
+    's3 stats':
+        'a87bf5702c97eb9f24dff1f63b14d753e536d8ced8cc1f692cd206eec03cd133',
+    's3 tran component0.tsf':
+        'e32e19b6fb359c58000e5faa4bdd6701dd874115413a3300b16e67febfd15271',
+    's3/B.tsf':
+        '29ad21f937c9a4a4e39c6788d34498d7fba3643c8b58e418d084efbc3883db41',
+    's3/cover/component0.tsf':
+        'cc6891df0d4a263dfa936d426ef2928f107d10722e0569a91c484d257f8532b2',
+    's3/cover/manifest.txt':
+        '1964af216ea6136aeb89bfa97013b2e8ed29e9a182669f15e446521ce024fccf',
+}
+
+
+def _recorded_outputs(capsys, tmp_path):
+    """{"s<seed> <command>" or "s<seed>/<file>": sha256 hex} over three seeds."""
+    import hashlib
+
+    def digest(text):
+        return hashlib.sha256(text.replace(str(tmp_path), "<tmp>").encode()).hexdigest()
+
+    def cli(key, *argv):
+        code = main(list(argv))
+        digests[key] = digest(f"exit {code}\n{capsys.readouterr().out}")
+
+    digests = {}
+    for seed in (1, 2, 3):
+        d = tmp_path / f"s{seed}"
+        d.mkdir()
+        base, sub = d / "base.tsf", d / "sub.tsf"
+        main(["random", "-T", "8", "--seed", str(seed), "-o", str(base)])
+        main(["subdivide", str(base), "-k", "3", "-o", str(sub)])
+        capsys.readouterr()
+        cli(f"s{seed} stats", "stats", str(sub))
+        cli(f"s{seed} degree-bound", "degree-bound", str(base), "-o", str(d / "B.tsf"))
+        cli(f"s{seed} cover", "cover", str(sub), "-o", str(d / "cover"))
+        for path in sorted((d / "cover").glob("component*.tsf")):
+            cli(f"s{seed} tran {path.name}", "tran", str(path))
+            cli(f"s{seed} decompose {path.name}", "decompose", str(path))
+        for path in sorted(d.rglob("*")):
+            if path.is_file() and path not in (base, sub):
+                digests[f"s{seed}/{path.relative_to(d).as_posix()}"] = \
+                    digest(path.read_text())
+    return digests
+
+
+def test_outputs_match_recorded_digests(capsys, tmp_path):
+    assert _recorded_outputs(capsys, tmp_path) == RECORDED_DIGESTS

@@ -1,13 +1,19 @@
 import pytest
 
-from equilat.eisenstein import Eisenstein
+from equilat.cover import canonical_cover
+from equilat.eisenstein import ZERO, Eisenstein
 from equilat.surface import (
+    BOUNDARY,
     GluedSurface,
     SurfaceError,
+    _head_corner,
+    corner_vertex_map,
+    random_surface,
     subdivide,
 )
 from equilat.translation import (
     MAX_LB_DEGREE,
+    PeriodMap,
     TranslationStructure,
     build_period_map,
     detect_structures,
@@ -110,6 +116,50 @@ def test_loop_periods_in_unit_lattice(census8):
             pm = build_period_map(surface, st_)
             for _, h in pm.holonomies:
                 assert isinstance(h, Eisenstein)
+
+
+def _period_map_oracle(surface, st, base):
+    """A period map built the plain way: a first-in first-out queue of
+    vertices and the set of tree edges, each edge the set of its darts."""
+    cv = corner_vertex_map(surface)
+    out_darts = surface.index.out_darts
+    potentials = [None] * len(out_darts)
+    potentials[base] = ZERO
+    tree_edges = set()
+    queue = [base]
+    while queue:
+        v = queue.pop(0)
+        for d in out_darts[v]:
+            w = cv[_head_corner(d)]
+            if potentials[w] is None:
+                potentials[w] = potentials[v] + st.period(d)
+                tree_edges.add(frozenset((d, surface.gluing[d])))
+                queue.append(w)
+    holonomies = []
+    for d in range(surface.dart_count):
+        p = surface.gluing[d]
+        if p != BOUNDARY and d < p and frozenset((d, p)) not in tree_edges:
+            tail, head = cv[d], cv[_head_corner(d)]
+            holonomies.append((d, potentials[tail] + st.period(d) - potentials[head]))
+    return PeriodMap(base, tuple(potentials), tuple(holonomies))
+
+
+def _cover_components(seeds):
+    for seed in seeds:
+        for comp in canonical_cover(subdivide(random_surface(8, seed), 3)).components:
+            yield comp.surface, comp.structure
+
+
+def test_period_map_matches_oracle(tran_lb_corpus):
+    checked = 0
+    for surface, st_ in [*tran_lb_corpus, *_cover_components((1, 2, 3))]:
+        V = len(surface.index.vertices)
+        high = [r.vertex for r in surface.index.vertices if r.degree > 6]
+        for base in sorted({0, V // 2, V - 1, *high[:2]}):
+            assert build_period_map(surface, st_, base) == \
+                _period_map_oracle(surface, st_, base)
+            checked += 1
+    assert checked > 3 * len(tran_lb_corpus)
 
 
 def test_torus_is_not_locally_bounded(hex_torus):
