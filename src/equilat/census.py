@@ -157,7 +157,7 @@ def _search(T: int, node: tuple, collect: Callable) -> None:
         if children:
             stack.extend(children)
         elif children is not None:
-            collect(GluedSurface(T, tuple(node[0])))
+            collect(GluedSurface._trusted(T, tuple(node[0])))
 
 
 def _next_unset(gluing, start: int) -> int:
@@ -204,7 +204,7 @@ def enumerate_surfaces(T: int, filter: Optional[Callable] = None,
         tasks = [(T, node) for node in _frontier(T, _FRONTIER_DEPTH)]
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for gluings in pool.map(_run_task, tasks, chunksize=1):
-                found.extend(GluedSurface(T, g) for g in gluings)
+                found.extend(GluedSurface._trusted(T, g) for g in gluings)
     found.sort(key=lambda s: s.gluing)
     if filter is not None:
         found = [s for s in found if filter(s)]

@@ -271,9 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on the first call to main: parse_args
+# reads it without changing it.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (SurfaceError, OSError) as exc:

@@ -125,7 +125,9 @@ def _assemble_total(surface: GluedSurface, h: Holonomy6) -> tuple:
                 k2 = (k + h.transitions[d]) % 6
                 gluing[cd] = 3 * (6 * (p // 3) + k2) + p % 3
                 dart_map[cd] = d
-    return GluedSurface(6 * T, tuple(gluing)), tuple(dart_map)
+    # transitions[d] + transitions[p] = 0 mod 6, so sheet k of d and sheet
+    # k + transitions[d] of p glue back to each other: an involution
+    return GluedSurface._trusted(6 * T, tuple(gluing)), tuple(dart_map)
 
 
 def canonical_cover(surface: GluedSurface) -> BranchedCover:

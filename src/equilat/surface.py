@@ -47,9 +47,18 @@ class GluedSurface:
     """An oriented surface built from unit equilateral triangles.
 
     gluing[d] is the partner dart of d, or -1 when d is a boundary edge.
-    Instances are immutable after validation; all operations on them are
-    pure functions.  The combinatorial index is built on first use and
-    cached on the instance; it is left out of ==, hash, repr and pickles.
+    Instances are immutable; all operations on them are pure functions.
+    The combinatorial index is built on first use and cached on the
+    instance; it is left out of ==, hash, repr and pickles.
+
+    The constructor checks that the gluing is a fixed-point-free partial
+    involution.  `_trusted` skips that check.  It is used only where the
+    output is valid by construction from an already valid surface:
+    `subdivide`, `conformal_double`, `connected_components`,
+    `with_provenance`, the cover's total space and the census leaves.
+    `load_surface` uses it too, because its line checks already prove the
+    same involution.  Everything built from caller data (`relabel`,
+    `surface_from_code`, `replace_stars`) goes through the constructor.
     """
 
     face_count: int
@@ -73,6 +82,15 @@ class GluedSurface:
             if g[p] != d:
                 raise SurfaceError(f"gluing is not an involution at dart {d}")
 
+    @classmethod
+    def _trusted(cls, face_count: int, gluing: tuple,
+                 provenance: Optional[tuple] = None) -> "GluedSurface":
+        """Build without the involution check; the gluing must be a valid tuple."""
+        self = object.__new__(cls)
+        self.__dict__.update(face_count=face_count, gluing=gluing,
+                             provenance=provenance)
+        return self
+
     @property
     def dart_count(self) -> int:
         return 3 * self.face_count
@@ -92,7 +110,7 @@ class GluedSurface:
         return len(self.index.components) == 1
 
     def with_provenance(self, provenance: tuple) -> "GluedSurface":
-        return GluedSurface(self.face_count, self.gluing, provenance)
+        return GluedSurface._trusted(self.face_count, self.gluing, provenance)
 
     @cached_property
     def index(self) -> "SurfaceIndex":
@@ -165,6 +183,7 @@ def _build_index(gluing: tuple) -> SurfaceIndex:
         succ = [BOUNDARY if p == BOUNDARY else head[p] for p in gluing]
     corner_vertex = [-1] * n
     vertices = []
+    out_darts = []
     for c0 in range(n):
         if corner_vertex[c0] != -1:
             continue
@@ -192,12 +211,9 @@ def _build_index(gluing: tuple) -> SurfaceIndex:
         boundary = c == BOUNDARY
         degree = len(corners) + 1 if boundary else len(corners)
         vertices.append(VertexReport(v, degree, boundary, tuple(corners)))
-    # one pass over the corners in ascending order lists each vertex's darts
-    out_darts = [[] for _ in vertices]
-    for c, v in enumerate(corner_vertex):
-        out_darts[v].append(c)
+        out_darts.append(tuple(sorted(corners)))  # dart c leaves corner c
     return SurfaceIndex(tuple(vertices), tuple(corner_vertex),
-                        tuple(map(tuple, out_darts)), _face_components(gluing))
+                        tuple(out_darts), _face_components(gluing))
 
 
 def _face_components(gluing) -> tuple:
@@ -289,7 +305,7 @@ def connected_components(surface: GluedSurface) -> list:
                     gluing.append(BOUNDARY)
                 else:
                     gluing.append(3 * index[p // 3] + p % 3)
-        parts.append(GluedSurface(len(faces), tuple(gluing)))
+        parts.append(GluedSurface._trusted(len(faces), tuple(gluing)))
     return parts
 
 
@@ -309,7 +325,8 @@ def load_surface(text) -> GluedSurface:
             bad = text[exc.start]
             raise SurfaceError(f"line {ln}: non-ASCII byte {bad:#04x}") from exc
     lines = []
-    for ln, rawline in enumerate(text.splitlines(), start=1):
+    # only "\n" ends a line, as in the byte count above; strip() drops a "\r"
+    for ln, rawline in enumerate(text.split("\n"), start=1):
         stripped = rawline.split("#", 1)[0].strip()
         if stripped:
             lines.append((ln, stripped))
@@ -351,7 +368,8 @@ def load_surface(text) -> GluedSurface:
         gluing[a] = b
         gluing[b] = a
         prev_a = a
-    return GluedSurface(T, tuple(gluing))
+    # the line checks above prove a fixed-point-free partial involution
+    return GluedSurface._trusted(T, tuple(gluing))
 
 
 def save_surface(surface: GluedSurface) -> str:
@@ -361,10 +379,9 @@ def save_surface(surface: GluedSurface) -> str:
     max(1, 2 x gluing lines) faces, which needs unglued triangles.
     """
     T = surface.face_count
+    # BOUNDARY < 0, so a < b also skips unmatched darts
     out = ["tsf v1", f"T {T}"]
-    for a, b in enumerate(surface.gluing):
-        if b != BOUNDARY and a < b:
-            out.append(f"g {a} {b}")
+    out += [f"g {a} {b}" for a, b in enumerate(surface.gluing) if a < b]
     if T > max(1, 2 * (len(out) - 2)):
         raise SurfaceError(f"{T} faces cannot be joined by {len(out) - 2} "
                            "gluing lines; TSF cannot hold this gluing")
@@ -426,7 +443,7 @@ def subdivide(surface: GluedSurface, k: int) -> GluedSurface:
             off, off2 = n * (d // 3), n * (p // 3)
             for a, b in zip(sides[d % 3], reversed(sides[p % 3])):
                 gluing[off + a] = off2 + b
-    return GluedSurface(T * k * k, tuple(gluing))
+    return GluedSurface._trusted(T * k * k, tuple(gluing))
 
 
 # --- conformal double -------------------------------------------------------
@@ -456,7 +473,7 @@ def conformal_double(surface: GluedSurface) -> GluedSurface:
             gluing[d] = p
             m, mp = mirror_dart(T, d), mirror_dart(T, p)
             gluing[m] = mp
-    return GluedSurface(2 * T, tuple(gluing))
+    return GluedSurface._trusted(2 * T, tuple(gluing))
 
 
 # --- canonical form ---------------------------------------------------------

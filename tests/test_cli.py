@@ -166,6 +166,38 @@ def test_unknown_command_rejected():
         main(["not-a-command"])
 
 
+def test_cached_parser_keeps_no_state(capsys, monkeypatch, tmp_path, torus_path):
+    import equilat.cli as cli
+
+    main(["stats", torus_path])
+    parser = cli._parser
+    calls = [["not-a-command"],
+             ["census", "--tmax", "4", "--filter", "tran"],
+             ["census", "--tmax", "4", "--out", str(tmp_path / "x.csv")],
+             ["stats", torus_path]]
+
+    def outputs(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                monkeypatch.setattr(cli, "_parser", None)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen + [(tmp_path / "x.csv").read_text()]
+
+    capsys.readouterr()
+    cached = outputs(fresh=False)
+    assert cli._parser is parser
+    # the --out run would fail if the filter carried over from the run before
+    assert "classes pass filter tran" in cached[1][1]
+    assert cached[2][0] == 0 and cached[2][2] == ""
+    assert outputs(fresh=True) == cached
+
+
 def _limit_memory():
     limit = 1_500_000_000
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

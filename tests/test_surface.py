@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import equilat.surface
+from equilat.census import enumerate_surfaces
+from equilat.cover import canonical_cover
 from equilat.degree_bound import (
     bounded_degree_map,
     build_TD,
@@ -59,6 +61,10 @@ def test_tsf_rejects_malformed():
         load_surface("tsf v1\nT 2\ng 0 0\n")
     with pytest.raises(SurfaceError):
         load_surface("not a surface")
+    with pytest.raises(SurfaceError, match="^line 4: dart glued twice$"):
+        load_surface("tsf v1\nT 2\ng 0 3\ng 1 3\ng 2 5\n")
+    with pytest.raises(SurfaceError, match="^line 5: dart glued twice$"):
+        load_surface("tsf v1\nT 2\ng 0 4\ng 1 3\ng 4 5\n")
     with pytest.raises(SurfaceError, match="line 3: non-ASCII byte 0xff"):
         load_surface(b"tsf v1\nT 2\n\xff")
     # more faces than the gluing lines can reach, refused before allocating
@@ -66,6 +72,20 @@ def test_tsf_rejects_malformed():
         load_surface("tsf v1\nT 10000000000000\n")
     with pytest.raises(SurfaceError, match="line 2: 3 faces"):
         load_surface("tsf v1\nT 3\ng 0 3\n")
+
+
+@pytest.mark.parametrize("sep", [b"\x0c", b"\x1c"])
+def test_tsf_lines_are_counted_by_newline_only(sep):
+    # str.splitlines would also break at a form feed or \x1c and count a line
+    # more than the newlines (and the non-ASCII byte error) do
+    with pytest.raises(SurfaceError, match="^line 5: dart out of range$"):
+        load_surface(b"tsf v1\nT 2" + sep + b"\ng 0 3\ng 1 4\ng 2 7\n")
+    with pytest.raises(SurfaceError, match="^line 4: dart out of range$"):
+        load_surface(b"tsf v1\nT 2\ng 0 3" + sep + b"\ng 1 7\n")
+
+
+def test_tsf_reads_crlf(hex_torus):
+    assert load_surface(save_surface(hex_torus).replace("\n", "\r\n")) == hex_torus
 
 
 # random partial pairings of 3T darts: often disconnected, with unglued sides
@@ -335,6 +355,66 @@ BORDERED = ([build_TD(d).surface for d in range(2, 12)]
 @pytest.mark.parametrize("surface", BORDERED, ids=range(len(BORDERED)))
 def test_index_matches_oracle_on_bordered_blocks(surface):
     _check_index(surface)
+
+
+def _assert_as_validated(surface):
+    """The constructor accepts a trusted construction's gluing and gives an
+    equal surface."""
+    assert type(surface.gluing) is tuple
+    assert GluedSurface(surface.face_count, surface.gluing) == surface
+    return surface
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_gluings, closed_gluings, st.integers(min_value=0, max_value=10**6))
+def test_trusted_constructions_equal_validated_ones(drawn, closed, seed):
+    order, n_pairs = drawn
+    bordered = [BOUNDARY] * len(order)
+    for a, b in zip(order[0:2 * n_pairs:2], order[1:2 * n_pairs:2]):
+        bordered[a], bordered[b] = b, a
+    connected = random_surface(2 * (seed % 5 + 1), seed)
+    for surface in (GluedSurface(len(order) // 3, tuple(bordered)),
+                    GluedSurface(len(closed) // 3, closed), connected):
+        for k in (2, 3, 4):
+            _assert_as_validated(subdivide(surface, k))
+        for part in connected_components(surface):
+            _assert_as_validated(part)
+            if part.is_closed():
+                _assert_as_validated(canonical_cover(part).total)
+            else:
+                _assert_as_validated(conformal_double(part))
+        assert _assert_as_validated(surface.with_provenance(("tag",))).provenance == ("tag",)
+        try:
+            text = save_surface(surface)
+        except SurfaceError:
+            continue
+        _assert_as_validated(load_surface(text))
+
+
+# random TSF gluing lines, sorted so that most pass the ascending check
+tsf_lines = st.integers(min_value=1, max_value=6).flatmap(
+    lambda T: st.tuples(st.just(T), st.lists(
+        st.tuples(st.integers(-1, 3 * T), st.integers(-1, 3 * T)), max_size=3 * T)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tsf_lines)
+@example((2, [(0, 3), (1, 3), (2, 5)]))
+@example((2, [(0, 4), (1, 3), (4, 5)]))
+def test_loaded_surfaces_pass_the_constructor(drawn):
+    T, pairs = drawn
+    text = f"tsf v1\nT {T}\n" + "".join(f"g {a} {b}\n" for a, b in sorted(pairs))
+    try:
+        loaded = load_surface(text)
+    except SurfaceError:
+        return
+    _assert_as_validated(loaded)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_census_leaves_equal_validated_surfaces(workers):
+    for surface in enumerate_surfaces(6, workers=workers):
+        _assert_as_validated(surface)
 
 
 def _subdivide_oracle(surface, k):
