@@ -18,8 +18,8 @@ from equilat.surface import (
     GluedSurface,
     SurfaceError,
     _boundary_cycles,
+    _face_components,
     _head_corner,
-    corner_vertex_map,
     euler_and_genus,
     vertex_orbits,
 )
@@ -74,7 +74,7 @@ def _check_input(surface: GluedSurface) -> tuple:
 def build_trajectories(surface: GluedSurface, st: TranslationStructure) -> TrajectoryComplex:
     """Fixpoints of the three inductive trajectory rules."""
     _, _, high = _check_input(surface)
-    cv = corner_vertex_map(surface)
+    cv = surface.index.corner_vertex
     out_darts = surface.index.out_darts
     high_set = set(high)
 
@@ -139,7 +139,7 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
     between polytope vertices lie in 3Z + 3wZ.
     """
     stats, reports, high = _check_input(surface)
-    cv = corner_vertex_map(surface)
+    cv = surface.index.corner_vertex
     in_a = [False] * surface.dart_count
     for e in A.edges:
         for d in e:
@@ -196,10 +196,14 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
     if covered != A.edges:
         raise SurfaceError("maximal runs do not cover the trajectory complex exactly")
     # complementary regions: the components of S cut along A, each bounded
-    # by the one boundary cycle of the cut surface that lies in it
-    cut = GluedSurface(surface.face_count, tuple(
+    # by the one boundary cycle of the cut surface that lies in it.  The
+    # runs check above proves that A.edges holds only frozenset((d,
+    # gluing[d])), so in_a marks both darts of every A edge and the cut
+    # stays an involution.  Only its components and boundary cycles are
+    # read, so it is never indexed.
+    cut = GluedSurface._trusted(surface.face_count, tuple(
         BOUNDARY if in_a[d] else p for d, p in enumerate(surface.gluing)))
-    components = cut.index.components
+    components = _face_components(cut.gluing)
     region_of = [0] * surface.face_count
     for rid, faces in enumerate(components):
         for f in faces:
@@ -241,7 +245,7 @@ def develop_face(surface: GluedSurface, st: TranslationStructure,
     Checks closure, exactly four direction changes alternating by pi/3 and
     2*pi/3, allowed corner weight pairs, and integral side lengths.
     """
-    cv = corner_vertex_map(surface)
+    cv = surface.index.corner_vertex
     walk = region.boundary_darts
     total = ZERO
     development = []

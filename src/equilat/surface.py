@@ -54,8 +54,10 @@ class GluedSurface:
     The constructor checks that the gluing is a fixed-point-free partial
     involution.  `_trusted` skips that check.  It is used only where the
     output is valid by construction from an already valid surface:
-    `subdivide`, `conformal_double`, `connected_components`,
-    `with_provenance`, the cover's total space and the census leaves.
+    `subdivide`, `conformal_double`, `connected_components` (a
+    one-component split returns the surface's own gluing and index),
+    `with_provenance`, the cover's total space, the decomposition's cut
+    surface and the census leaves.
     `load_surface` uses it too, because its line checks already prove the
     same involution.  Everything built from caller data (`relabel`,
     `surface_from_code`, `replace_stars`) goes through the constructor.
@@ -251,7 +253,7 @@ def corner_vertex_map(surface: GluedSurface) -> list:
 
 def _boundary_cycles(surface: GluedSurface) -> list:
     """Boundary components as cycles of boundary darts, each from its smallest."""
-    ix = surface.index
+    gluing = surface.gluing
     seen = set()
     cycles = []
     for d0 in surface.boundary_darts():
@@ -262,9 +264,14 @@ def _boundary_cycles(surface: GluedSurface) -> list:
         while True:
             cycle.append(d)
             seen.add(d)
-            # the fan at the head of d ends at the corner whose outgoing
-            # dart is unmatched; that dart continues the boundary
-            d = ix.vertices[ix.corner_vertex[_head_corner(d)]].corners[-1]
+            # walk the fan at the head of d: from the head corner of d, step
+            # to the head corner of the partner until the outgoing dart is
+            # unmatched; that dart continues the boundary
+            c = d - 2 if d % 3 == 2 else d + 1
+            while gluing[c] != BOUNDARY:
+                p = gluing[c]
+                c = p - 2 if p % 3 == 2 else p + 1
+            d = c
             if d == d0:
                 break
         cycles.append(cycle)
@@ -294,8 +301,15 @@ def euler_and_genus(surface: GluedSurface) -> SurfaceStats:
 
 def connected_components(surface: GluedSurface) -> list:
     """Split into connected surfaces, faces renumbered in ascending order."""
+    components = surface.index.components
+    if len(components) == 1:
+        # the renumbering is the identity: the part shares the gluing and
+        # the index, and drops only the provenance
+        part = GluedSurface._trusted(surface.face_count, surface.gluing)
+        part.__dict__["index"] = surface.index
+        return [part]
     parts = []
-    for faces in surface.index.components:
+    for faces in components:
         index = {f: i for i, f in enumerate(faces)}
         gluing = []
         for f in faces:
@@ -334,6 +348,16 @@ def load_surface(text) -> GluedSurface:
         raise SurfaceError("line 1: expected header 'tsf v1'")
     if len(lines) < 2 or not lines[1][1].startswith("T "):
         raise SurfaceError("line 2: expected 'T <count>'")
+    # int() also reads "+1", "-0", "1_0" and non-ASCII digits, and split()
+    # breaks at non-ASCII spaces, but TSF is ASCII with numerals of digits
+    # only; one scan of the whole text decides whether to check the lines
+    if not text.isascii() or "+" in text or "-" in text or "_" in text:
+        for ln, line in lines[1:]:
+            if not line.isascii():
+                raise SurfaceError(f"line {ln}: non-ASCII character")
+            if not all(token.isdigit() for token in line.split()[1:]):
+                raise SurfaceError(f"line {ln}: counts and darts must be "
+                                   "ASCII digits")
     try:
         T = int(lines[1][1][2:])
     except ValueError as exc:

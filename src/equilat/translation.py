@@ -12,6 +12,7 @@ rotations of one).  Weights are stored as exponents k of zeta^k, 0..5.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from equilat.eisenstein import ROOTS6, ZERO, Eisenstein
@@ -79,8 +80,9 @@ def detect_structures(surface: GluedSurface) -> Optional[TranslationStructure]:
                 return None
     for rep in vertex_orbits(surface):
         assert rep.degree % 6 == 0, "translation structure at a non-flat vertex"
+    triples = [(k, (k + 2) % 6, (k + 4) % 6) for k in range(6)]
     return TranslationStructure(
-        tuple((phase[d // 3] + 2 * (d % 3)) % 6 for d in range(3 * T)))
+        tuple(chain.from_iterable(map(triples.__getitem__, phase))))
 
 
 def face_types(surface: GluedSurface, st: TranslationStructure) -> dict:

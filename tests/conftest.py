@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import equilat.surface
 from equilat.census import enumerate_surfaces
 from equilat.surface import GluedSurface, random_surface
 
@@ -81,3 +82,17 @@ def tran_lb_corpus(census8):
                 out.append((sub, st))
     assert out
     return out
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """The gluings that `_build_index` is called on during a test, in order."""
+    built = []
+    original = equilat.surface._build_index
+
+    def counting(gluing):
+        built.append(gluing)
+        return original(gluing)
+
+    monkeypatch.setattr(equilat.surface, "_build_index", counting)
+    return built

@@ -177,3 +177,13 @@ def test_riemann_hurwitz_on_odd_vertex_surface():
             assert 2 * g_tilde - 2 + crit == d * (2 * g - 2) + d * n
         return
     pytest.skip("no branched example found")
+
+
+def test_connected_cover_indexes_only_base_and_total_space(index_builds):
+    surface = next(s for s in (random_surface(8, seed) for seed in range(20))
+                   if sheet_orbit_oracle(s) == 1)
+    cover = canonical_cover(surface)
+    [component] = cover.components
+    assert component.surface.gluing is cover.total.gluing
+    assert sorted(map(id, index_builds)) == sorted((id(surface.gluing),
+                                                    id(cover.total.gluing)))

@@ -2,8 +2,10 @@ import dataclasses
 
 import pytest
 
+from equilat.cover import canonical_cover
 from equilat.eisenstein import ZERO
 from equilat.surface import (
+    BOUNDARY,
     GluedSurface,
     SurfaceError,
     euler_and_genus,
@@ -177,3 +179,42 @@ def test_half_cut_edge_is_rejected(tran_lb_corpus):
     half = dataclasses.replace(A, a0_edges=A.a0_edges | {frozenset((d,))})
     with pytest.raises(SurfaceError):
         build_polytope(surface, st, half)
+
+
+@pytest.fixture(scope="module")
+def genus_two_plus(tran_lb_corpus):
+    """The corpus plus genus >= 2 cover components of 3-subdivided random
+    surfaces."""
+    out = list(tran_lb_corpus)
+    for seed in range(3):
+        for comp in canonical_cover(subdivide(random_surface(8, seed), 3)).components:
+            if comp.genus >= 2:
+                out.append((comp.surface, comp.structure))
+    return out
+
+
+def test_decompose_indexes_only_its_input(genus_two_plus, index_builds):
+    for surface, st in genus_two_plus:
+        fresh = GluedSurface(surface.face_count, surface.gluing)
+        del index_builds[:]
+        decompose(fresh, st)
+        assert index_builds == [fresh.gluing]
+
+
+def test_trusted_cut_equals_validated_one(genus_two_plus, monkeypatch):
+    built = []
+    original = GluedSurface._trusted.__func__
+
+    def recording(cls, face_count, gluing, provenance=None):
+        built.append(original(cls, face_count, gluing, provenance))
+        return built[-1]
+
+    monkeypatch.setattr(GluedSurface, "_trusted", classmethod(recording))
+    for surface, st in genus_two_plus:
+        A = build_trajectories(surface, st)
+        del built[:]
+        build_polytope(surface, st, A)
+        cut = tuple(BOUNDARY if frozenset((d, p)) in A.edges else p
+                    for d, p in enumerate(surface.gluing))
+        assert [s.gluing for s in built] == [cut]
+        assert GluedSurface(surface.face_count, cut) == built[0]

@@ -84,6 +84,36 @@ def test_tsf_lines_are_counted_by_newline_only(sep):
         load_surface(b"tsf v1\nT 2\ng 0 3" + sep + b"\ng 1 7\n")
 
 
+TORUS_TSF = "tsf v1\nT 2\ng 0 3\ng 1 4\ng 2 5\n"
+
+
+# int() reads each of these numerals and split() breaks at a no-break
+# space, but TSF is ASCII with numerals of digits only
+@pytest.mark.parametrize("old, new, line", [
+    ("T 2", "T \u0662", 2),  # Arabic-Indic two
+    ("g 2 5", "g 2 \u0665", 5),  # Arabic-Indic five
+    ("T 2", "T 0_2", 2),
+    ("g 0 3", "g +0 3", 3),
+    ("g 0 3", "g -0 3", 3),
+    ("g 1 4", "g 1 0_4", 4),
+    ("g 0 3", "g\u00a00 3", 3),
+])
+def test_tsf_numerals_are_ascii_digits_only(old, new, line):
+    text = TORUS_TSF.replace(old, new)
+    assert text != TORUS_TSF
+    for form in (text, text.encode()):
+        with pytest.raises(SurfaceError, match=f"^line {line}: "):
+            load_surface(form)
+
+
+def test_tsf_comments_may_hold_any_character(hex_torus):
+    text = "tsf v1 # +1, -0, 1_0\nT 2 # genus-1\ng 0 3\ng 1 4 # \u0662\ng 2 5\n"
+    assert load_surface(text) == hex_torus
+    with pytest.raises(SurfaceError, match="^line 4: non-ASCII byte"):
+        load_surface(text.encode())
+    assert load_surface(text.replace("\u0662", "").encode()) == hex_torus
+
+
 def test_tsf_reads_crlf(hex_torus):
     assert load_surface(save_surface(hex_torus).replace("\n", "\r\n")) == hex_torus
 
@@ -543,15 +573,8 @@ def test_cache_is_invisible_to_eq_hash_repr_and_pickle():
     assert back.index == used.index
 
 
-def test_index_is_built_once_per_surface(monkeypatch):
-    built = []
-    original = equilat.surface._build_index
-
-    def counting(gluing):
-        built.append(gluing)
-        return original(gluing)
-
-    monkeypatch.setattr(equilat.surface, "_build_index", counting)
+def test_index_is_built_once_per_surface(index_builds):
+    built = index_builds
     surface = random_surface(6, 11)
     result = bounded_degree_map(surface)
     cert = check_tri_lb(result.surface)
@@ -560,3 +583,14 @@ def test_index_is_built_once_per_surface(monkeypatch):
     euler_and_genus(surface)
     assert len({id(g) for g in built}) == len(built)
     assert any(g is result.surface.gluing for g in built)
+
+
+@pytest.mark.parametrize("surface", BORDERED[:4] + [random_surface(T, T) for T in (2, 8, 20)],
+                         ids=range(7))
+def test_one_component_split_shares_the_index(surface):
+    tagged = GluedSurface(surface.face_count, surface.gluing).with_provenance(("tag",))
+    [part] = connected_components(tagged)
+    assert part == GluedSurface(surface.face_count, surface.gluing)
+    assert part.provenance is None
+    assert part.index is tagged.index
+    assert part.index == equilat.surface._build_index(surface.gluing)
