@@ -158,8 +158,7 @@ def cmd_decompose(args) -> int:
 def cmd_cover(args) -> int:
     surface = _load(args.input)
     cover = canonical_cover(surface)
-    lb = check_tri_lb(surface).ok
-    report = verify_cover(surface, cover, base_locally_bounded=lb)
+    report = verify_cover(surface, cover)
     os.makedirs(args.outdir, exist_ok=True)
     lines = [f"components: {report.component_count}",
              f"branch points: {report.branch_points}"]

@@ -2,17 +2,19 @@
 
 Identifying every face with the standard unit equilateral triangle gives a
 global 6-differential (dz^6 per face).  Its sixth roots live on a degree-6
-branched cover assembled from six sheets per face; each component of that
-cover carries a translation structure.  Branch points sit over vertices
-whose degree is not a multiple of 6.
+branched cover assembled from six sheets per face: sheet k over a face
+carries zeta^(-k) dz, which gives each component of the cover its
+translation structure.  Branch points sit over vertices whose degree is
+not a multiple of 6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
-from typing import Optional
 
+from equilat.degree_bound import check_tri_lb
 from equilat.surface import (
     GluedSurface,
     SurfaceError,
@@ -21,11 +23,7 @@ from equilat.surface import (
     euler_and_genus,
     vertex_orbits,
 )
-from equilat.translation import (
-    TranslationStructure,
-    detect_structures,
-    is_locally_bounded_tran,
-)
+from equilat.translation import TranslationStructure, is_locally_bounded_tran
 
 __all__ = [
     "Holonomy6",
@@ -104,12 +102,10 @@ class RamificationRecord:
 
 @dataclass(frozen=True)
 class BranchedCover:
-    base: GluedSurface
     total: GluedSurface  # 6T faces, face 6f+k = sheet k over base face f
     dart_map: tuple  # cover dart -> base dart
     components: tuple  # CoverComponent, by smallest sheet; all isomorphic
     ramification: tuple  # RamificationRecord per base vertex
-    cocycle: Holonomy6
 
 
 def _assemble_total(surface: GluedSurface, h: Holonomy6) -> tuple:
@@ -134,12 +130,12 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
     """Assemble the six sheets and split into translation components.
 
     Components come by smallest sheet: the sheet shift k -> k + 1 is a deck
-    transformation permuting them transitively, so all are isomorphic.
+    transformation permuting them transitively, so all are isomorphic.  The
+    translation structure of each is read off its sheets, with no search.
 
-    Verifies on the way out that each component covers the base evenly,
-    admits a translation structure, satisfies the genus bound
-    6g + 5m and the Riemann-Hurwitz identity, and that a locally bounded
-    base yields locally bounded components.
+    Verifies on the way out that each component covers the base evenly
+    with cover vertex degrees lcm(deg, 6), and satisfies the genus bound
+    6g + 5m and the Riemann-Hurwitz identity.
     """
     if not surface.is_closed() or not surface.is_connected():
         raise SurfaceError("the canonical cover needs a closed connected surface")
@@ -153,47 +149,40 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
     for rep in base_reports:
         e = 6 // gcd(6, rep.degree)
         ram.append(RamificationRecord(rep.vertex, rep.degree, e, 6 // e))
-    cover_reports = vertex_orbits(total)
-    cover_cv = corner_vertex_map(total)
-    for crep in cover_reports:
-        base_v = cv[dart_map[crep.corners[0]]]
-        if crep.degree != lcm(base_reports[base_v].degree, 6):
-            raise SurfaceError("cover vertex degree is not lcm(deg, 6)")
     # split into components, keeping the sheet content of each
     m = sum(1 for rep in base_reports if rep.degree != 6)
     n_branch = sum(1 for rep in base_reports if rep.degree % 6 != 0)
+    # dart 3i+s weighs zeta^(phase + 2s) as in detect_structures; crossing
+    # dart d moves the sheet by transitions[d] and the phase by its negative,
+    # so phase + sheet is constant on a component; k0 puts zeta^0 on dart 0
+    triples = [(k, (k + 2) % 6, (k + 4) % 6) for k in range(6)]
     parts = []
     for faces, sub in zip(total.index.components, connected_components(total)):
         if len(faces) % surface.face_count != 0:
             raise SurfaceError("component does not cover the base evenly")
         degree = len(faces) // surface.face_count
-        structure = detect_structures(sub)
-        if structure is None:
-            raise SurfaceError("cover component is not a translation surface")
+        k0 = faces[0] % 6
+        structure = TranslationStructure(tuple(chain.from_iterable(
+            triples[(k0 - f) % 6] for f in faces)))
+        # component face i is total face faces[i]
+        crit = 0
+        for rep in sub.index.vertices:
+            c = rep.corners[0]
+            base_deg = base_reports[cv[dart_map[3 * faces[c // 3] + c % 3]]].degree
+            if rep.degree != lcm(base_deg, 6):
+                raise SurfaceError("cover vertex degree is not lcm(deg, 6)")
+            if rep.degree // base_deg > 1:
+                crit += 1
         stats = euler_and_genus(sub)
         if stats.genus > 6 * base_stats.genus + 5 * m:
             raise SurfaceError("cover component genus exceeds 6g + 5m")
-        crit = _critical_count(total, cover_reports, cover_cv, dart_map, cv,
-                               base_reports, set(faces))
         if 2 * stats.genus - 2 + crit != degree * (2 * base_stats.genus - 2) + degree * n_branch:
             raise SurfaceError("Riemann-Hurwitz identity fails on a component")
         sheets = frozenset((f // 6, f % 6) for f in faces)
         parts.append(CoverComponent(sub, degree, sheets, structure, stats.genus))
     if sum(p.degree for p in parts) != 6 or len(parts) > 6:
         raise SurfaceError("component degrees do not sum to a degree-6 cover")
-    return BranchedCover(surface, total, dart_map, tuple(parts), tuple(ram), h)
-
-
-def _critical_count(total, cover_reports, cover_cv, dart_map, base_cv,
-                    base_reports, face_set) -> int:
-    crit = 0
-    for crep in cover_reports:
-        if crep.corners[0] // 3 not in face_set:
-            continue
-        base_deg = base_reports[base_cv[dart_map[crep.corners[0]]]].degree
-        if crep.degree // base_deg > 1:
-            crit += 1
-    return crit
+    return BranchedCover(total, dart_map, tuple(parts), tuple(ram))
 
 
 @dataclass(frozen=True)
@@ -201,37 +190,45 @@ class CoverReport:
     ok: bool
     component_count: int
     component_degrees: tuple
-    component_genera: tuple
     branch_points: int
     rh_checks: tuple  # (degree, genus, critical points) per component
     locally_bounded_checked: bool
-    first_failure: Optional[str]
 
 
-def verify_cover(surface: GluedSurface, cover: BranchedCover,
-                 base_locally_bounded: bool = False) -> CoverReport:
+def verify_cover(surface: GluedSurface, cover: BranchedCover) -> CoverReport:
     """Re-derive the cover invariants from scratch and cross-check.
 
-    Recomputes genera by Euler characteristic, ramification from vertex
-    orbit degree ratios, branch counts from base degrees, and the
-    Riemann-Hurwitz identity per component, and checks each stored
-    translation structure dart by dart; any mismatch with the stored data
-    raises with the first violated identity.
+    Checks the projection against both gluings, that the component sheets
+    partition the 6T total faces, and the ramification table against the
+    base: each vertex's degree, and the degree and number of its preimages.
+    Recomputes genera by Euler characteristic, branch counts from base
+    degrees and the Riemann-Hurwitz identity per component, checks each
+    stored translation structure dart by dart, and decides by check_tri_lb
+    whether the base is locally bounded, in which case every component
+    must be too.  Any mismatch with the stored data raises with the first
+    violated identity.
     """
 
     def fail(msg):
         raise SurfaceError(f"cover verification failed: {msg}")
 
+    T = surface.face_count
     base_stats = euler_and_genus(surface)
     base_reports = vertex_orbits(surface)
     cv = corner_vertex_map(surface)
     n_branch = sum(1 for rep in base_reports if rep.degree % 6 != 0)
-    if cover.total.face_count != 6 * surface.face_count:
+    if cover.total.face_count != 6 * T:
         fail("total space does not have 6T faces")
+    if len(cover.dart_map) != cover.total.dart_count:
+        fail("dart map does not have one entry per total-space dart")
     for cd, d in enumerate(cover.dart_map):
         if cover.dart_map[cover.total.gluing[cd]] != surface.gluing[d]:
             fail(f"projection does not commute with gluing at cover dart {cd}")
-    for rec in cover.ramification:
+    if len(cover.ramification) != len(base_reports):
+        fail("ramification table does not have one record per base vertex")
+    for rep, rec in zip(base_reports, cover.ramification):
+        if rec.vertex != rep.vertex or rec.base_degree != rep.degree:
+            fail(f"ramification record {rep.vertex} does not match its base vertex")
         if rec.index != 6 // gcd(6, rec.base_degree):
             fail(f"stored ramification index wrong at vertex {rec.vertex}")
         if rec.index * rec.preimage_count != 6:
@@ -240,14 +237,21 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover,
         fail("more than six components")
     if sum(c.degree for c in cover.components) != 6:
         fail("component degrees do not sum to 6")
+    cells = sorted(6 * f + k if 0 <= k < 6 else -1
+                   for c in cover.components for f, k in c.sheets)
+    if cells != list(range(6 * T)):
+        fail("component sheets do not partition the 6T total faces")
+    locally_bounded = check_tri_lb(surface).ok
+    preimages = [0] * len(base_reports)
     rh = []
     for i, comp in enumerate(cover.components):
+        if len(comp.sheets) != comp.surface.face_count:
+            fail(f"component {i} has not one sheet per face")
+        if comp.surface.face_count != comp.degree * T:
+            fail(f"component {i} does not have degree x T faces")
         stats = euler_and_genus(comp.surface)
         if stats.genus != comp.genus:
             fail(f"stored genus wrong on component {i}")
-        reports = vertex_orbits(comp.surface)
-        if any(r.degree % 6 != 0 for r in reports):
-            fail(f"component {i} has a vertex degree not divisible by 6")
         # the stored weights obey both rules: opposite ends of an edge
         # differ by zeta^3, the next side of a face by zeta^2
         g, w = comp.surface.gluing, comp.structure.weights
@@ -257,13 +261,15 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover,
             fail(f"stored translation structure wrong on component {i}")
         # critical points of the restricted covering from degree ratios;
         # component face i sits over the i-th smallest total-space face
-        back = dict(enumerate(sorted(6 * f + k for f, k in comp.sheets)))
+        back = sorted(6 * f + k for f, k in comp.sheets)
         crit = 0
-        for r in reports:
+        for r in vertex_orbits(comp.surface):
             total_dart = 3 * back[r.corners[0] // 3] + r.corners[0] % 3
-            base_deg = base_reports[cv[cover.dart_map[total_dart]]].degree
-            if r.degree % base_deg != 0:
-                fail(f"component {i} vertex degree not a multiple of the base degree")
+            v = cv[cover.dart_map[total_dart]]
+            base_deg = base_reports[v].degree
+            if r.degree != cover.ramification[v].index * base_deg:
+                fail(f"component {i} vertex degree is not index x base degree")
+            preimages[v] += 1
             if r.degree // base_deg > 1:
                 crit += 1
         lhs = 2 * stats.genus - 2 + crit
@@ -271,18 +277,19 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover,
         if lhs != rhs:
             fail(f"Riemann-Hurwitz fails on component {i}: {lhs} != {rhs}")
         rh.append((comp.degree, stats.genus, crit))
-        if base_locally_bounded:
+        if locally_bounded:
             rep = is_locally_bounded_tran(comp.surface, comp.structure)
             if not rep.ok:
                 fail(f"component {i} of a locally bounded base is not locally bounded: "
                      f"{rep.first_failure}")
+    for rec, count in zip(cover.ramification, preimages):
+        if count != rec.preimage_count:
+            fail(f"stored preimage count wrong at vertex {rec.vertex}")
     return CoverReport(
         ok=True,
         component_count=len(cover.components),
         component_degrees=tuple(c.degree for c in cover.components),
-        component_genera=tuple(c.genus for c in cover.components),
         branch_points=n_branch,
         rh_checks=tuple(rh),
-        locally_bounded_checked=base_locally_bounded,
-        first_failure=None,
+        locally_bounded_checked=locally_bounded,
     )

@@ -54,7 +54,6 @@ class TriangulatedDisk:
     """
 
     surface: GluedSurface
-    kind: str
     d: int
     center: int
     boundary_darts: tuple
@@ -99,14 +98,14 @@ def build_TD(d: int) -> TriangulatedDisk:
         # the two boundary edges join the same vertex pair, so they must be
         # glued explicitly rather than matched by endpoint labels
         surface = GluedSurface(2, (BOUNDARY, 5, 4, BOUNDARY, 2, 1))
-        return TriangulatedDisk(surface, "TD", 2, 2, (0, 3), ((0, 1),))
+        return TriangulatedDisk(surface, 2, 2, (0, 3), ((0, 1),))
     center = ("c",)
     faces = [((0, t), (0, (t + 1) % d), center) for t in range(d)]
     surface, labels = surface_from_faces(faces)
     lv = _label_to_vertex(surface, labels)
     boundary = tuple(3 * t for t in range(d))  # side 0 of face t runs x_t -> x_{t+1}
     return TriangulatedDisk(
-        surface, "TD", d, lv[center], boundary, (tuple(lv[(0, t)] for t in range(d)),)
+        surface, d, lv[center], boundary, (tuple(lv[(0, t)] for t in range(d)),)
     )
 
 
@@ -145,7 +144,7 @@ def build_TH(d: int) -> TriangulatedDisk:
     # side 0 of inward face t < d runs (0,t) -> (0,t+1), as in build_TD
     boundary = tuple(3 * t for t in range(d))
     layers = tuple(tuple(lv[(i, j)] for j in range(sizes[i])) for i in range(len(sizes)))
-    return TriangulatedDisk(surface, "TH", d, lv[center], boundary, layers)
+    return TriangulatedDisk(surface, d, lv[center], boundary, layers)
 
 
 # --- the replacement map -----------------------------------------------------
@@ -372,7 +371,6 @@ _REF3_SIDES = tuple(itemgetter(*(_REF3_PROGRAM[0].index(d) for d in side))
 class LbCertificate:
     ok: bool
     max_degree: int
-    reason: Optional[str]
     coarse: Optional[GluedSurface]
     macro_vertices: Optional[frozenset]
     face_owner: Optional[tuple]  # face -> macro face id
@@ -446,10 +444,8 @@ def check_tri_lb(surface: GluedSurface) -> LbCertificate:
         raise SurfaceError("check_tri_lb needs a closed surface")
     reports = vertex_orbits(surface)
     max_deg = max(r.degree for r in reports)
-    if max_deg > 7:
-        return LbCertificate(False, max_deg, f"max degree {max_deg} > 7", None, None, None)
-    if surface.face_count % 9 != 0:
-        return LbCertificate(False, max_deg, "face count not divisible by 9", None, None, None)
+    if max_deg > 7 or surface.face_count % 9 != 0:
+        return LbCertificate(False, max_deg, None, None, None)
     neq6 = [r.vertex for r in reports if r.degree != 6]
     if neq6:
         seeds = list(reports[neq6[0]].corners)
@@ -462,14 +458,13 @@ def check_tri_lb(surface: GluedSurface) -> LbCertificate:
         coarse, macro_vertices, owner = got
         if not set(neq6) <= macro_vertices:
             continue
-        return LbCertificate(True, max_deg, None, coarse, macro_vertices, owner)
-    return LbCertificate(False, max_deg, "no 3-subdivision coarsening found", None, None, None)
+        return LbCertificate(True, max_deg, coarse, macro_vertices, owner)
+    return LbCertificate(False, max_deg, None, None, None)
 
 
 @dataclass(frozen=True)
 class SeparationReport:
     ok: bool
-    min_distance: Optional[int]  # min pairwise distance between non-flat vertices
     all_macro: bool
 
 
@@ -482,24 +477,21 @@ def separation_check(surface: GluedSurface, cert: LbCertificate) -> SeparationRe
     all_macro = set(neq6) <= cert.macro_vertices
     ix = surface.index
     targets = set(neq6)
-    min_dist = None
     for v in neq6:
-        dist = {v: 0}
+        near = {v}  # vertices within distance 2 of v
         frontier = [v]
-        for step in (1, 2):
+        for _ in range(2):
             nxt = []
             for u in frontier:
                 for d in ix.out_darts[u]:
                     w = ix.corner_vertex[_head_corner(d)]
-                    if w not in dist:
-                        dist[w] = step
+                    if w not in near:
+                        near.add(w)
                         nxt.append(w)
             frontier = nxt
-        for w, dd in dist.items():
-            if w != v and w in targets:
-                min_dist = dd if min_dist is None else min(min_dist, dd)
-    ok = all_macro and (min_dist is None or min_dist >= 3)
-    return SeparationReport(ok, min_dist if min_dist is not None else None, all_macro)
+        if len(near & targets) > 1:  # another non-flat vertex besides v
+            return SeparationReport(False, all_macro)
+    return SeparationReport(all_macro, all_macro)
 
 
 def th_center_candidates(surface: GluedSurface) -> dict:

@@ -48,9 +48,6 @@ class TrajectoryComplex:
     a0_edges: frozenset  # edge = frozenset of its two darts
     a1_edges: frozenset
     a2_edges: frozenset
-    a0_vertices: frozenset
-    a1_vertices: frozenset
-    a2_vertices: frozenset
 
     @property
     def edges(self) -> frozenset:
@@ -97,9 +94,9 @@ def build_trajectories(surface: GluedSurface, st: TranslationStructure) -> Traje
         return frozenset(vertices), frozenset(edges)
 
     a0_v, a0_e = grow(0)
-    a1_v, a1_e = grow(1, stop_at=a0_v)
-    a2_v, a2_e = grow(4, stop_at=a0_v)
-    return TrajectoryComplex(a0_e, a1_e, a2_e, a0_v, a1_v, a2_v)
+    _, a1_e = grow(1, stop_at=a0_v)
+    _, a2_e = grow(4, stop_at=a0_v)
+    return TrajectoryComplex(a0_e, a1_e, a2_e)
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,6 @@ class PolytopeB:
     vertices: frozenset
     edges: tuple  # Run per polytope edge
     faces: tuple  # Region per polytope face
-    complex: TrajectoryComplex
 
 
 def build_polytope(surface: GluedSurface, st: TranslationStructure,
@@ -224,7 +220,7 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
     for v in sorted(vb):
         if not (potentials[v] - potentials[base]).in_sublattice(3):
             raise SurfaceError(f"polytope vertex {v} at period outside 3Z+3wZ")
-    return PolytopeB(frozenset(vb), tuple(runs), tuple(region_objs), A)
+    return PolytopeB(frozenset(vb), tuple(runs), tuple(region_objs))
 
 
 @dataclass(frozen=True)

@@ -165,8 +165,6 @@ class LocallyBoundedReport:
     max_degree: int
     degree_ok: bool
     periods_ok: bool
-    high_vertices: tuple  # vertices of degree > 6
-    generator_count: int
     first_failure: Optional[str]
 
 
@@ -184,15 +182,12 @@ def is_locally_bounded_tran(surface: GluedSurface, st: TranslationStructure) -> 
     base = high[0] if high else 0
     pm = build_period_map(surface, st, base)
     failure = None
-    count = 0
     for d, h in pm.holonomies:
-        count += 1
         if not h.in_sublattice(3):
             failure = f"loop holonomy {h} at dart {d} outside 3Z+3wZ"
             break
     if failure is None:
         for v in high:
-            count += 1
             rel = pm.potentials[v] - pm.potentials[base]
             if not rel.in_sublattice(3):
                 failure = f"relative period {rel} to vertex {v} outside 3Z+3wZ"
@@ -205,8 +200,6 @@ def is_locally_bounded_tran(surface: GluedSurface, st: TranslationStructure) -> 
         max_degree=max_deg,
         degree_ok=degree_ok,
         periods_ok=periods_ok,
-        high_vertices=high,
-        generator_count=count,
         first_failure=failure,
     )
 

@@ -138,12 +138,84 @@ def test_verify_cover_checks_the_stored_structure():
         verify_cover(surface, cover)
 
 
+def test_verify_cover_rejects_an_empty_ramification_table():
+    surface = random_surface(8, 3)
+    cover = canonical_cover(surface)
+    with pytest.raises(SurfaceError, match="one record per base vertex"):
+        verify_cover(surface, replace(cover, ramification=()))
+
+
+def test_verify_cover_checks_each_ramification_record_against_the_base():
+    # a self-consistent record for a flat vertex, stored for a degree-23 one
+    surface = random_surface(8, 3)
+    cover = canonical_cover(surface)
+    assert vertex_orbits(surface)[0].degree == 23
+    flat = replace(cover.ramification[0], base_degree=6, index=1, preimage_count=6)
+    cover = replace(cover, ramification=(flat,) + cover.ramification[1:])
+    with pytest.raises(SurfaceError, match="record 0 does not match its base vertex"):
+        verify_cover(surface, cover)
+
+
+def test_verify_cover_checks_the_dart_map_length():
+    surface = random_surface(8, 3)
+    cover = canonical_cover(surface)
+    with pytest.raises(SurfaceError, match="one entry per total-space dart"):
+        verify_cover(surface, replace(cover, dart_map=cover.dart_map[:-1]))
+
+
+def test_verify_cover_checks_that_the_sheets_partition_the_total_space():
+    surface = random_surface(8, 3)
+    cover = canonical_cover(surface)
+    comp = cover.components[0]
+    short = replace(comp, sheets=comp.sheets - {max(comp.sheets)})
+    cover = replace(cover, components=(short,) + cover.components[1:])
+    with pytest.raises(SurfaceError, match="do not partition the 6T total faces"):
+        verify_cover(surface, cover)
+
+
+def test_verify_cover_checks_the_sheet_count_of_each_component(pillowcase):
+    # moving a sheet between the two components keeps the partition
+    cover = canonical_cover(pillowcase)
+    a, b = cover.components
+    moved = max(a.sheets)
+    cover = replace(cover, components=(replace(a, sheets=a.sheets - {moved}),
+                                       replace(b, sheets=b.sheets | {moved})))
+    with pytest.raises(SurfaceError, match="component 0 has not one sheet per face"):
+        verify_cover(pillowcase, cover)
+
+
+def _translation_corpus(census8):
+    yield from (s for T in (2, 4, 6, 8) for s in census8[T])
+    yield from (random_surface(T, seed) for T in (10, 20, 40) for seed in range(10))
+    yield from (subdivide(random_surface(8, seed), 3) for seed in range(4))
+
+
+def test_structure_read_off_the_sheets_equals_the_search(census8):
+    # the search in detect_structures is the oracle for the closed form
+    several = 0
+    for surface in _translation_corpus(census8):
+        cover = canonical_cover(surface)
+        several += len(cover.components) > 1
+        for comp in cover.components:
+            assert comp.structure == detect_structures(comp.surface)
+    assert several > 100
+
+
+def test_verify_cover_decides_local_boundedness_itself(hex_torus):
+    bounded = subdivide(hex_torus, 3)
+    unbounded = random_surface(18, 0)
+    for base, expected in ((bounded, True), (unbounded, False)):
+        assert check_tri_lb(base).ok is expected
+        report = verify_cover(base, canonical_cover(base))
+        assert report.locally_bounded_checked is expected
+
+
 def test_locally_bounded_base_gives_locally_bounded_cover():
     surface = random_surface(4, 3)
     bounded = bounded_degree_map(surface).surface
     assert check_tri_lb(bounded).ok
     cover = canonical_cover(bounded)
-    report = verify_cover(bounded, cover, base_locally_bounded=True)
+    report = verify_cover(bounded, cover)
     assert report.ok and report.locally_bounded_checked
 
 
