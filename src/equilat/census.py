@@ -29,7 +29,6 @@ from equilat.surface import (
     GluedSurface,
     SurfaceError,
     euler_and_genus,
-    vertex_orbits,
 )
 from equilat.translation import detect_structures
 from equilat.degree_bound import check_tri_lb
@@ -255,9 +254,9 @@ class CensusRow:
 
 
 def _has_loop_or_multiedge(surface: GluedSurface) -> bool:
-    from equilat.surface import corner_vertex_map, _head_corner
+    from equilat.surface import _head_corner
 
-    cv = corner_vertex_map(surface)
+    cv = surface.index.corner_vertex
     seen = set()
     for d in range(surface.dart_count):
         p = surface.gluing[d]
@@ -287,7 +286,7 @@ def count_table(T_max: int, workers: int = 1) -> list:
                 b["tran"] += 1
             if check_tri_lb(surface).ok:
                 b["lb"] += 1
-            md = max(r.degree for r in vertex_orbits(surface))
+            md = max(surface.index.degrees)
             b["hist"][md] = b["hist"].get(md, 0) + 1
             if _has_loop_or_multiedge(surface):
                 b["loops"] += 1

@@ -16,6 +16,7 @@ from math import gcd, lcm
 
 from equilat.degree_bound import check_tri_lb
 from equilat.surface import (
+    BOUNDARY,
     GluedSurface,
     SurfaceError,
     connected_components,
@@ -51,7 +52,7 @@ class Holonomy6:
     references: tuple
 
     def monodromy(self, surface: GluedSurface, vertex: int) -> int:
-        corners = surface.index.vertices[vertex].corners
+        corners = surface.index.corners[vertex]
         return sum(self.transitions[c] for c in corners) % 6
 
 
@@ -166,12 +167,12 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
             triples[(k0 - f) % 6] for f in faces)))
         # component face i is total face faces[i]
         crit = 0
-        for rep in sub.index.vertices:
-            c = rep.corners[0]
+        for deg, corners in zip(sub.index.degrees, sub.index.corners):
+            c = corners[0]
             base_deg = base_reports[cv[dart_map[3 * faces[c // 3] + c % 3]]].degree
-            if rep.degree != lcm(base_deg, 6):
+            if deg != lcm(base_deg, 6):
                 raise SurfaceError("cover vertex degree is not lcm(deg, 6)")
-            if rep.degree // base_deg > 1:
+            if deg // base_deg > 1:
                 crit += 1
         stats = euler_and_genus(sub)
         if stats.genus > 6 * base_stats.genus + 5 * m:
@@ -199,7 +200,8 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover) -> CoverReport:
     """Re-derive the cover invariants from scratch and cross-check.
 
     Checks the projection against both gluings, that the component sheets
-    partition the 6T total faces, and the ramification table against the
+    partition the 6T total faces and that each component is the total space
+    restricted to its sheets, and the ramification table against the
     base: each vertex's degree, and the degree and number of its preimages.
     Recomputes genera by Euler characteristic, branch counts from base
     degrees and the Riemann-Hurwitz identity per component, checks each
@@ -249,19 +251,29 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover) -> CoverReport:
             fail(f"component {i} has not one sheet per face")
         if comp.surface.face_count != comp.degree * T:
             fail(f"component {i} does not have degree x T faces")
+        # the component is the total space on its sheets: component face j
+        # is the j-th smallest of its total-space faces, and each component
+        # dart is glued as its total-space dart is
+        back = sorted(6 * f + k for f, k in comp.sheets)
+        g, tg = comp.surface.gluing, cover.total.gluing
+        if len(back) == len(tg) // 3:
+            glued_alike = g == tg  # all sheets: the renumbering is the identity
+        else:
+            glued_alike = all(tg[3 * back[d // 3] + d % 3] == 3 * back[p // 3] + p % 3
+                              for d, p in enumerate(g))
+        if BOUNDARY in g or not glued_alike:
+            fail(f"component {i} is not the total space on its sheets")
         stats = euler_and_genus(comp.surface)
         if stats.genus != comp.genus:
             fail(f"stored genus wrong on component {i}")
         # the stored weights obey both rules: opposite ends of an edge
         # differ by zeta^3, the next side of a face by zeta^2
-        g, w = comp.surface.gluing, comp.structure.weights
+        w = comp.structure.weights
         if len(w) != len(g) or any(
                 w[g[d]] != (w[d] + 3) % 6 or w[d - d % 3 + (d + 1) % 3] != (w[d] + 2) % 6
                 for d in range(len(g))):
             fail(f"stored translation structure wrong on component {i}")
-        # critical points of the restricted covering from degree ratios;
-        # component face i sits over the i-th smallest total-space face
-        back = sorted(6 * f + k for f, k in comp.sheets)
+        # critical points of the restricted covering from degree ratios
         crit = 0
         for r in vertex_orbits(comp.surface):
             total_dart = 3 * back[r.corners[0] // 3] + r.corners[0] % 3

@@ -20,8 +20,8 @@ from equilat.surface import (
     BOUNDARY,
     GluedSurface,
     SurfaceError,
+    VertexReport,
     _face_subdivision,
-    _head_corner,
     corner_vertex_map,
     euler_and_genus,
     load_surface,
@@ -149,10 +149,23 @@ def build_TH(d: int) -> TriangulatedDisk:
 
 # --- the replacement map -----------------------------------------------------
 
+# darts per 4-subdivided face, and the stage-1 corner at each corner s of a
+# face: the tail of the first sub-edge of side s
+_SUB4_FACE_DARTS = 3 * 4 * 4
+_SUB4_CORNER = tuple(side[0] for side in _face_subdivision(4)[1])
+
+
 @dataclass(frozen=True)
 class DegreeBoundResult:
+    """B(S) with its growth figures.
+
+    centers names each replaced star by its vertex in S, in vertex order:
+    S's vertices of degree > 7 are exactly those of its 4-subdivision, and
+    stars are replaced in that order.
+    """
+
     surface: GluedSurface  # B(S)
-    centers: tuple  # (vertex id in the 4-subdivision, degree) per replacement
+    centers: tuple  # (vertex id in S, degree) per replaced star
     sigma: float  # faces(B(S)) / T
     mu: Optional[float]  # |V_neq6(B)| / (|V_neq6(S)| + g)
 
@@ -242,28 +255,38 @@ def bounded_degree_map(surface: GluedSurface) -> DegreeBoundResult:
     if not surface.is_closed() or not surface.is_connected():
         raise SurfaceError("bounded_degree_map needs a closed connected surface")
     stats = euler_and_genus(surface)
-    neq6 = sum(1 for r in vertex_orbits(surface) if r.degree != 6)
+    ix = surface.index
+    neq6 = len(ix.degrees) - ix.degrees.count(6)
+    # New vertices of the 4-subdivision are flat, so its vertices of degree
+    # > 7 are those of the surface.  Corner c = 3f + s lies at stage-1
+    # corner 48f + _SUB4_CORNER[s]; the map increases, so rotation order
+    # and the replacement order (smallest stage-1 corner first) carry over.
+    high = []
+    for v, deg in enumerate(ix.degrees):
+        if deg > 7:
+            corners = tuple([_SUB4_FACE_DARTS * (c // 3) + _SUB4_CORNER[c % 3]
+                             for c in ix.corners[v]])
+            high.append(VertexReport(v, deg, False, corners))
     stage1 = subdivide(surface, 4)
-    high = [r for r in vertex_orbits(stage1) if r.degree > 7]
-    high.sort(key=lambda r: r.vertex)
+    centers = tuple((r.vertex, r.degree) for r in high)
     blocks = [build_TH(r.degree) for r in high]
     stage2 = replace_stars(stage1, high, blocks) if high else stage1
     # provenance first, so that only the returned B(S) builds an index
     result = subdivide(stage2, 3).with_provenance(
-        ("degree_bound", save_surface(surface), tuple((r.vertex, r.degree) for r in high))
-    )
+        ("degree_bound", save_surface(surface), centers))
     out_stats = euler_and_genus(result)
     if out_stats.genus != stats.genus:
         raise SurfaceError("replacement changed the genus; implementation bug")
-    max_deg = max(r.degree for r in vertex_orbits(result))
+    out_degrees = result.index.degrees
+    max_deg = max(out_degrees)
     if max_deg > 7:
         raise SurfaceError(f"output max degree {max_deg} exceeds 7; implementation bug")
-    out_neq6 = sum(1 for r in vertex_orbits(result) if r.degree != 6)
+    out_neq6 = len(out_degrees) - out_degrees.count(6)
     denom = neq6 + stats.genus
     mu = out_neq6 / denom if denom else None
     return DegreeBoundResult(
         surface=result,
-        centers=tuple((r.vertex, r.degree) for r in high),
+        centers=centers,
         sigma=result.face_count / surface.face_count,
         mu=mu,
     )
@@ -483,8 +506,10 @@ def separation_check(surface: GluedSurface, cert: LbCertificate) -> SeparationRe
         for _ in range(2):
             nxt = []
             for u in frontier:
-                for d in ix.out_darts[u]:
-                    w = ix.corner_vertex[_head_corner(d)]
+                # a set is built, so the darts leaving u (one per corner)
+                # may come in rotation order
+                for d in ix.corners[u]:
+                    w = ix.corner_vertex[d - 2 if d % 3 == 2 else d + 1]  # head of d
                     if w not in near:
                         near.add(w)
                         nxt.append(w)
@@ -515,7 +540,7 @@ def th_center_candidates(surface: GluedSurface) -> dict:
             if d not in th_cache:
                 block = build_TH(d)
                 ix = block.surface.index
-                center_corner = ix.vertices[block.center].corners[0]
+                center_corner = ix.corners[block.center][0]
                 program = _compile_pattern(block.surface.gluing, center_corner)
                 th_cache[d] = (block, program, ix.corner_vertex)
             block, program, pattern_cv = th_cache[d]

@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import add, floordiv
 from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -153,22 +155,43 @@ def _head_corner(dart: int) -> int:
     return 3 * f + (s + 1) % 3
 
 
-class SurfaceIndex(NamedTuple):
+class _IndexScan(NamedTuple):
+    corners: tuple
+    degrees: tuple
+    boundary: tuple
+    corner_vertex: tuple
+    components: tuple
+
+
+class SurfaceIndex(_IndexScan):
     """Combinatorial facts of one gluing, computed together on first use.
 
-    vertices[v] is the VertexReport of vertex v, vertices numbered by their
-    smallest corner; a boundary vertex's corners run from the corner whose
-    incoming dart is unmatched to the corner whose outgoing dart is
-    unmatched.  corner_vertex[c] is the vertex at corner c; out_darts[v]
-    lists the darts leaving v in ascending order (dart d leaves the vertex
-    at corner d); components lists the faces of each connected component in
-    ascending order, components ordered by their smallest face.
+    One scan over the corners fills flat tuples, vertices numbered by their
+    smallest corner: corners[v] lists the corners of vertex v in rotation
+    order (a boundary vertex's run from the corner whose incoming dart is
+    unmatched to the corner whose outgoing dart is unmatched), degrees[v]
+    and boundary[v] are its degree and whether it lies on the boundary, and
+    corner_vertex[c] is the vertex at corner c.  components lists the faces
+    of each connected component in ascending order, components ordered by
+    their smallest face.
+
+    vertices (one VertexReport per vertex) and out_darts (out_darts[v]
+    lists the darts leaving v in ascending order; dart d leaves the vertex
+    at corner d) are built on first read.  ==, hash and pickles see only
+    the scanned fields.
     """
 
-    vertices: tuple
-    corner_vertex: tuple
-    out_darts: tuple
-    components: tuple
+    @cached_property
+    def vertices(self) -> tuple:
+        return tuple(map(VertexReport._make, zip(
+            range(len(self.degrees)), self.degrees, self.boundary, self.corners)))
+
+    @cached_property
+    def out_darts(self) -> tuple:
+        return tuple(map(tuple, map(sorted, self.corners)))
+
+    def __getstate__(self) -> None:
+        return None  # the cached views are rebuilt on demand
 
 
 def _build_index(gluing: tuple) -> SurfaceIndex:
@@ -184,8 +207,8 @@ def _build_index(gluing: tuple) -> SurfaceIndex:
     else:
         succ = [BOUNDARY if p == BOUNDARY else head[p] for p in gluing]
     corner_vertex = [-1] * n
-    vertices = []
-    out_darts = []
+    orbits = []
+    boundary = []
     for c0 in range(n):
         if corner_vertex[c0] != -1:
             continue
@@ -202,7 +225,7 @@ def _build_index(gluing: tuple) -> SurfaceIndex:
                 start = c0
                 break
             start = p  # the previous corner is the tail of p
-        v = len(vertices)
+        v = len(orbits)
         corners = [start]
         corner_vertex[start] = v
         c = succ[start]
@@ -210,16 +233,23 @@ def _build_index(gluing: tuple) -> SurfaceIndex:
             corners.append(c)
             corner_vertex[c] = v
             c = succ[c]
-        boundary = c == BOUNDARY
-        degree = len(corners) + 1 if boundary else len(corners)
-        vertices.append(VertexReport(v, degree, boundary, tuple(corners)))
-        out_darts.append(tuple(sorted(corners)))  # dart c leaves corner c
-    return SurfaceIndex(tuple(vertices), tuple(corner_vertex),
-                        tuple(out_darts), _face_components(gluing))
+        orbits.append(tuple(corners))
+        boundary.append(c == BOUNDARY)
+    # a boundary vertex's fan has one more edge end than faces
+    degrees = tuple(map(add, map(len, orbits), boundary))
+    return SurfaceIndex(tuple(orbits), degrees, tuple(boundary),
+                        tuple(corner_vertex), _face_components(gluing))
 
 
 def _face_components(gluing) -> tuple:
     T = len(gluing) // 3
+    # across[d] is the face across dart d; an unmatched dart leads back to
+    # its own face, which is already seen when the fill reads it
+    if BOUNDARY in gluing:
+        across = [d // 3 if p == BOUNDARY else p // 3 for d, p in enumerate(gluing)]
+    else:
+        across = list(map(floordiv, gluing, repeat(3)))
+    side0, side1, side2 = across[0::3], across[1::3], across[2::3]
     seen = [False] * T
     comps = []
     for f0 in range(T):
@@ -227,11 +257,22 @@ def _face_components(gluing) -> tuple:
             continue
         seen[f0] = True
         faces = [f0]
+        append = faces.append
         for f in faces:  # breadth first; faces grows while it is read
-            for p in gluing[3 * f:3 * f + 3]:
-                if p != BOUNDARY and not seen[p // 3]:
-                    seen[p // 3] = True
-                    faces.append(p // 3)
+            g = side0[f]
+            if not seen[g]:
+                seen[g] = True
+                append(g)
+            g = side1[f]
+            if not seen[g]:
+                seen[g] = True
+                append(g)
+            g = side2[f]
+            if not seen[g]:
+                seen[g] = True
+                append(g)
+        if len(faces) == T:  # one component: no sort needed
+            return (tuple(range(T)),)
         comps.append(tuple(sorted(faces)))
     return tuple(comps)
 
@@ -290,7 +331,7 @@ def euler_and_genus(surface: GluedSurface) -> SurfaceStats:
     unmatched = surface.gluing.count(BOUNDARY)
     matched = 3 * T - unmatched
     E = matched // 2 + unmatched
-    V = len(surface.index.vertices)
+    V = len(surface.index.degrees)
     chi = V - E + T
     b = len(_boundary_cycles(surface))
     genus2 = 2 - chi - b

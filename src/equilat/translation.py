@@ -78,8 +78,8 @@ def detect_structures(surface: GluedSurface) -> Optional[TranslationStructure]:
                 queue.append(f2)
             elif phase[f2] != forced:
                 return None
-    for rep in vertex_orbits(surface):
-        assert rep.degree % 6 == 0, "translation structure at a non-flat vertex"
+    for degree in surface.index.degrees:
+        assert degree % 6 == 0, "translation structure at a non-flat vertex"
     triples = [(k, (k + 2) % 6, (k + 4) % 6) for k in range(6)]
     return TranslationStructure(
         tuple(chain.from_iterable(map(triples.__getitem__, phase))))
@@ -116,7 +116,6 @@ class PeriodMap:
     loop base -> tail, edge, head -> base.
     """
 
-    base_vertex: int
     potentials: tuple
     holonomies: tuple
 
@@ -156,7 +155,7 @@ def build_period_map(surface: GluedSurface, st: TranslationStructure,
         if p != BOUNDARY and d < p and not (tree[d] or tree[p]):
             tail, head = cv[d], cv[_head_corner(d)]
             holonomies.append((d, potentials[tail] + st.period(d) - potentials[head]))
-    return PeriodMap(base, tuple(potentials), tuple(holonomies))
+    return PeriodMap(tuple(potentials), tuple(holonomies))
 
 
 @dataclass(frozen=True)

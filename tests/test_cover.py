@@ -259,3 +259,17 @@ def test_connected_cover_indexes_only_base_and_total_space(index_builds):
     assert component.surface.gluing is cover.total.gluing
     assert sorted(map(id, index_builds)) == sorted((id(surface.gluing),
                                                     id(cover.total.gluing)))
+
+
+def test_verify_cover_checks_each_component_against_the_total_space(pillowcase):
+    # a face-relabelled copy of a component, with its own structure, keeps
+    # every invariant but is not the total space on the component's sheets
+    cover = canonical_cover(pillowcase)
+    comp = cover.components[0]
+    T = comp.surface.face_count
+    copy = relabel(comp.surface, list(reversed(range(T))), [0] * T)
+    assert copy != comp.surface
+    tampered = replace(comp, surface=copy, structure=detect_structures(copy))
+    cover = replace(cover, components=(tampered,) + cover.components[1:])
+    with pytest.raises(SurfaceError, match="component 0 is not the total space"):
+        verify_cover(pillowcase, cover)

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import equilat.degree_bound
 from equilat.surface import (
     BOUNDARY,
     GluedSurface,
@@ -121,6 +122,51 @@ def test_bounded_degree_map_postconditions():
         assert max(r.degree for r in vertex_orbits(result.surface)) <= 7
         assert result.sigma == result.surface.face_count / surface.face_count
         assert check_tri_lb(result.surface).ok
+
+
+def test_bounded_degree_map_does_not_index_the_four_subdivision(index_builds):
+    for T, seed in ((10, 2), (20, 5)):
+        surface = random_surface(T, seed)
+        del index_builds[:]
+        result = bounded_degree_map(surface)
+        assert result.centers
+        assert not any(len(g) == 48 * T for g in index_builds)
+        assert {id(surface.gluing), id(result.surface.gluing)} <= set(map(id, index_builds))
+
+
+class _StarsHanded(Exception):
+    pass
+
+
+def test_centers_are_the_high_degree_vertices_of_the_four_subdivision(census8, monkeypatch):
+    # the stars handed to replace_stars are those that vertex_orbits finds
+    # on the 4-subdivision itself: same degrees, same corners in the same
+    # order; the map stops there, since the rest does not depend on it
+    handed = []
+
+    def recording(stage1, centers, blocks):
+        handed.append(centers)
+        raise _StarsHanded
+
+    monkeypatch.setattr(equilat.degree_bound, "replace_stars", recording)
+    census = [s for T in (2, 4, 6, 8) for s in census8[T]
+              if max(r.degree for r in vertex_orbits(s)) > 7]
+    randoms = [random_surface(T, seed) for T in range(10, 61, 10) for seed in (0, 1)]
+    for surface in census + randoms:
+        with pytest.raises(_StarsHanded):
+            bounded_degree_map(surface)
+        want = [r for r in vertex_orbits(subdivide(surface, 4)) if r.degree > 7]
+        assert [(r.degree, r.boundary, r.corners) for r in handed[-1]] == \
+            [(r.degree, r.boundary, r.corners) for r in want]
+        # named by the surface's own vertices, in vertex order
+        assert [(r.vertex, r.degree) for r in handed[-1]] == \
+            [(r.vertex, r.degree) for r in vertex_orbits(surface) if r.degree > 7]
+    assert len(census) > 1000 and sum(map(len, handed)) > 1500
+    # the whole map reports the stars it was handed
+    monkeypatch.undo()
+    for surface, stars in zip(randoms, handed[len(census):]):
+        assert bounded_degree_map(surface).centers == \
+            tuple((r.vertex, r.degree) for r in stars)
 
 
 def test_provenance_recovers_input_bit_exactly():

@@ -324,9 +324,14 @@ def _boundary_cycle_oracle(gluing):
 
 def _check_index(surface):
     gluing = surface.gluing
+    unread = equilat.surface._build_index(gluing)
+    orbits = _orbit_oracle(gluing)
+    ix = surface.index
+    assert list(ix.degrees) == [degree for _, degree, _, _ in orbits]
+    assert list(ix.boundary) == [boundary for _, _, boundary, _ in orbits]
+    assert list(ix.corners) == [corners for _, _, _, corners in orbits]
     reports = vertex_orbits(surface)
-    assert [(r.vertex, r.degree, r.boundary, r.corners) for r in reports] == \
-        _orbit_oracle(gluing)
+    assert [(r.vertex, r.degree, r.boundary, r.corners) for r in reports] == orbits
     cv = corner_vertex_map(surface)
     assert all(cv[c] == r.vertex for r in reports for c in r.corners)
     assert list(surface.index.out_darts) == \
@@ -335,6 +340,12 @@ def _check_index(surface):
     components = _component_oracle(gluing)
     assert list(surface.index.components) == components
     assert surface.is_connected() == (len(components) == 1)
+    # the lazily built views are invisible to ==, hash and pickles
+    assert "vertices" in vars(ix) and "out_darts" in vars(ix) and not vars(unread)
+    assert ix == unread and hash(ix) == hash(unread)
+    assert pickle.dumps(ix) == pickle.dumps(unread)
+    back = pickle.loads(pickle.dumps(ix))
+    assert back == ix and not vars(back) and back.vertices == ix.vertices
     parts = connected_components(surface)
     assert [p.face_count for p in parts] == [len(faces) for faces in components]
     for part, faces in zip(parts, components):

@@ -141,7 +141,7 @@ def _period_map_oracle(surface, st, base):
         if p != BOUNDARY and d < p and frozenset((d, p)) not in tree_edges:
             tail, head = cv[d], cv[_head_corner(d)]
             holonomies.append((d, potentials[tail] + st.period(d) - potentials[head]))
-    return PeriodMap(base, tuple(potentials), tuple(holonomies))
+    return PeriodMap(tuple(potentials), tuple(holonomies))
 
 
 def _cover_components(seeds):
