@@ -23,6 +23,7 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import eq
 from typing import Callable, Optional
 
 from equilat.surface import (
@@ -254,19 +255,22 @@ class CensusRow:
 
 
 def _has_loop_or_multiedge(surface: GluedSurface) -> bool:
-    from equilat.surface import _head_corner
+    """True when an edge joins a vertex to itself, or two edges join one pair.
 
-    cv = surface.index.corner_vertex
-    seen = set()
-    for d in range(surface.dart_count):
-        p = surface.gluing[d]
-        if d > p:
-            continue
-        v, w = cv[d], cv[_head_corner(d)]
-        if v == w or (min(v, w), max(v, w)) in seen:
-            return True
-        seen.add((min(v, w), max(v, w)))
-    return False
+    Dart d runs from tail[d] to head[d], the tail of the next side of its
+    face.  The 3T darts of a closed surface cover each edge twice, once per
+    direction, so its 3T/2 edges join distinct pairs exactly when 3T/2
+    distinct pairs occur.
+    """
+    tail = surface.index.corner_vertex
+    head = list(tail)
+    head[0::3] = tail[1::3]
+    head[1::3] = tail[2::3]
+    head[2::3] = tail[0::3]
+    if any(map(eq, tail, head)):
+        return True
+    pairs = set(zip(map(min, tail, head), map(max, tail, head)))
+    return 2 * len(pairs) != len(tail)
 
 
 def count_table(T_max: int, workers: int = 1) -> list:

@@ -382,12 +382,15 @@ def match_pattern(pattern: GluedSurface, target: GluedSurface,
             for i in range(0, len(img), 3)}
 
 
-# the 3-subdivided triangle matched from its dart 0, and per side a getter
-# of the images of the darts carrying its sub-edges, in order
+# the 3-subdivided triangle matched from its dart 0: the walk's steps and
+# its one interior check, and a getter of the images of the nine darts
+# carrying the sides' sub-edges, three per side in order
 _REF3_GLUING, _REF3_SIDE_DARTS = _face_subdivision(3)
 _REF3_PROGRAM = _compile_pattern(_REF3_GLUING, 0)
-_REF3_SIDES = tuple(itemgetter(*(_REF3_PROGRAM[0].index(d) for d in side))
-                    for side in _REF3_SIDE_DARTS)
+_REF3_STEPS = _REF3_PROGRAM[1]
+((_REF3_CHECK_I, _REF3_CHECK_J),) = _REF3_PROGRAM[2]
+_REF3_SIDE_IMAGES = itemgetter(*(_REF3_PROGRAM[0].index(d)
+                                 for side in _REF3_SIDE_DARTS for d in side))
 
 
 @dataclass(frozen=True)
@@ -400,59 +403,66 @@ class LbCertificate:
 
 
 def _try_coarsening(surface: GluedSurface, seed_dart: int):
-    """Grow a partition into 9-face macro triangles from one corner dart."""
+    """Grow a partition into 9-face macro triangles from one corner dart.
+
+    The surface must be closed: partners are read with no boundary test.
+    Coarse dart k = 3m+s is side s of macro triangle m; its sub-edges are
+    carried, in order, by small darts sides[3k], sides[3k+1], sides[3k+2].
+    """
     gluing = surface.gluing
     owner = [-1] * surface.face_count
-    macro = []  # per macro face: sides = 3 lists of small darts in order
-    first_of_side = {}
+    sides = []
+    side_of = {}  # first small dart of a side -> its coarse dart
+    coarse = []  # coarse gluing, filled in coarse dart order
 
-    def claim(dart):
-        img = _walk(_REF3_PROGRAM, gluing, dart)
-        if img is None:
-            return None
-        mid = len(macro)
-        sides = [side(img) for side in _REF3_SIDES]
-        for s in range(3):
-            first_of_side[sides[s][0]] = (mid, s)
+    def claim(dart) -> bool:
+        o1, o2 = _NEXT_SIDES[dart % 3]
+        img = [dart, dart + o1, dart + o2]
+        for i in _REF3_STEPS:
+            x = gluing[img[i]]
+            o1, o2 = _NEXT_SIDES[x % 3]
+            img += (x, x + o1, x + o2)
+        if gluing[img[_REF3_CHECK_I]] != img[_REF3_CHECK_J]:
+            return False
+        # each image triple is a whole face, so this also rejects a face
+        # that one claim reaches twice
+        mid = len(sides) // 9
         for x in img[::3]:
             if owner[x // 3] != -1:
-                return None
+                return False
             owner[x // 3] = mid
-        macro.append(sides)
-        return mid
+        new = _REF3_SIDE_IMAGES(img)
+        side_of[new[0]] = 3 * mid
+        side_of[new[3]] = 3 * mid + 1
+        side_of[new[6]] = 3 * mid + 2
+        sides.extend(new)
+        return True
 
-    if claim(seed_dart) is None:
+    if not claim(seed_dart):
         return None
-    head = 0
-    while head < len(macro):
-        sides = macro[head]
-        for s in range(3):
-            imgs = sides[s]
-            rev = tuple([gluing[d] for d in reversed(imgs)])
-            if BOUNDARY in rev:
+    # breadth first over coarse darts, so they come in order; the side
+    # across side k must carry the partners of k's darts in reverse order.
+    # A list iterator also yields what claims append while it runs.
+    darts = iter(sides)
+    for a0, a1, a2 in zip(darts, darts, darts):
+        b0 = gluing[a2]
+        k2 = side_of.get(b0)
+        if k2 is None:
+            k2 = len(sides) // 3
+            if not claim(b0):
                 return None
-            if rev[0] in first_of_side:
-                mid2, s2 = first_of_side[rev[0]]
-                if macro[mid2][s2] != rev:
-                    return None
-            else:
-                if owner[rev[0] // 3] != -1:
-                    return None  # claimed but not along a macro side
-                if claim(rev[0]) is None:
-                    return None
-        head += 1
+        if sides[3 * k2 + 1] != gluing[a1] or sides[3 * k2 + 2] != gluing[a0]:
+            return None
+        coarse.append(k2)
     if -1 in owner:
         return None  # disconnected leftovers
-    # assemble the coarse surface
-    coarse_gluing = [BOUNDARY] * (3 * len(macro))
-    for mid, sides in enumerate(macro):
-        for s in range(3):
-            rev0 = gluing[sides[s][-1]]
-            mid2, s2 = first_of_side[rev0]
-            coarse_gluing[3 * mid + s] = 3 * mid2 + s2
-    coarse = GluedSurface(len(macro), tuple(coarse_gluing))
+    # Trusted: k -> k2 holds when k2's darts are the partners of k's darts
+    # in reverse.  That relation is symmetric, and a side's first dart names
+    # it, so k2 -> k as well: the gluing is an involution.  k2 == k would
+    # glue k's middle dart to itself.
+    coarse = GluedSurface._trusted(len(coarse) // 3, tuple(coarse))
     cv = surface.index.corner_vertex
-    macro_vertices = frozenset(cv[side[0]] for sides in macro for side in sides)
+    macro_vertices = frozenset([cv[d] for d in sides[::3]])
     return coarse, macro_vertices, tuple(owner)
 
 
@@ -461,14 +471,15 @@ def check_tri_lb(surface: GluedSurface) -> LbCertificate:
 
     Positive exactly when max degree <= 7 and the faces partition into
     9-face macro triangles forming a 3-subdivision structure whose macro
-    vertices include every vertex of degree != 6.
+    vertices include every vertex of degree != 6.  The cap and the face
+    count are read off the flat index, before any vertex report is built.
     """
     if not surface.is_closed():
         raise SurfaceError("check_tri_lb needs a closed surface")
-    reports = vertex_orbits(surface)
-    max_deg = max(r.degree for r in reports)
+    max_deg = max(surface.index.degrees)
     if max_deg > 7 or surface.face_count % 9 != 0:
         return LbCertificate(False, max_deg, None, None, None)
+    reports = vertex_orbits(surface)
     neq6 = [r.vertex for r in reports if r.degree != 6]
     if neq6:
         seeds = list(reports[neq6[0]].corners)

@@ -59,7 +59,8 @@ class GluedSurface:
     `subdivide`, `conformal_double`, `connected_components` (a
     one-component split returns the surface's own gluing and index),
     `with_provenance`, the cover's total space, the decomposition's cut
-    surface and the census leaves.
+    surface, the census leaves and the coarse surface of the
+    3-coarsening.
     `load_surface` uses it too, because its line checks already prove the
     same involution.  Everything built from caller data (`relabel`,
     `surface_from_code`, `replace_stars`) goes through the constructor.
@@ -638,23 +639,49 @@ def relabel(surface: GluedSurface, face_perm: Sequence, rotations: Sequence) -> 
 _MAX_RETRIES = 100000
 
 
+def _take(tree: list, k: int) -> int:
+    """Remove the k-th live dart (k = 0 for the smallest) and return it.
+
+    tree is a Fenwick tree of live flags: tree[i] counts the live darts
+    among i - (i & -i) .. i - 1.  The descent halves its step; a node whose
+    count exceeds what is left of k holds the dart, so that count drops by
+    one on the way.
+    """
+    pos, n = 0, len(tree) - 1
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        nxt = pos + step
+        if nxt <= n:
+            c = tree[nxt]
+            if c <= k:
+                pos = nxt
+                k -= c
+            else:
+                tree[nxt] = c - 1
+        step >>= 1
+    return pos
+
+
 def random_surface(T: int, seed: int) -> GluedSurface:
     """Uniform closed gluing of T triangles, conditioned on connectivity.
 
-    Draws a uniform fixed-point-free involution on the 3T darts and
-    resamples until the result is connected.  Deterministic per seed.
+    Draws a uniform fixed-point-free involution on the 3T darts, pairing
+    the smallest unpaired dart with a uniformly chosen other one, and
+    resamples until the result is connected.  Deterministic per seed;
+    each draw takes O(T log T).
     """
     if T < 2 or T % 2 != 0:
         raise SurfaceError("T must be even and at least 2")
     if T > MAX_FACES:
         raise SurfaceError(f"T={T} exceeds {MAX_FACES} faces")
     rng = random.Random(seed)
+    n = 3 * T
     for _ in range(_MAX_RETRIES):
-        darts = list(range(3 * T))
-        gluing = [BOUNDARY] * (3 * T)
-        while darts:
-            a = darts.pop(0)
-            b = darts.pop(rng.randrange(len(darts)))
+        tree = [i & -i for i in range(n + 1)]  # every dart live
+        gluing = [BOUNDARY] * n
+        for left in range(n - 1, 0, -2):  # darts left after taking a
+            a = _take(tree, 0)
+            b = _take(tree, rng.randrange(left))
             gluing[a] = b
             gluing[b] = a
         # tested on the bare gluing, so a rejected draw builds no index

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -9,7 +10,9 @@ from equilat.surface import (
     _bfs_code,
     canonical_form,
     euler_and_genus,
+    _head_corner,
     load_canonical_form,
+    relabel,
 )
 from equilat.census import (
     CensusRow,
@@ -18,6 +21,7 @@ from equilat.census import (
     enumerate_surfaces,
     write_table,
     _expand,
+    _has_loop_or_multiedge,
     _next_unset,
     _root,
 )
@@ -134,6 +138,37 @@ def test_filter_predicate():
     tran = enumerate_surfaces(4, filter=lambda s: detect_structures(s) is not None)
     assert len(tran) == 1
     assert euler_and_genus(tran[0]).genus == 1
+
+
+def _oracle_has_loop_or_multiedge(surface):
+    """Edge by edge: a loop, or a vertex pair that an earlier edge joins."""
+    cv = surface.index.corner_vertex
+    seen = set()
+    for d in range(surface.dart_count):
+        p = surface.gluing[d]
+        if d > p:
+            continue
+        v, w = cv[d], cv[_head_corner(d)]
+        if v == w or (min(v, w), max(v, w)) in seen:
+            return True
+        seen.add((min(v, w), max(v, w)))
+    return False
+
+
+def test_loop_or_multiedge_matches_oracle(census8):
+    rng = random.Random(15)
+    loop_free = {}
+    for T, classes in census8.items():
+        for surface in classes:
+            want = _oracle_has_loop_or_multiedge(surface)
+            assert _has_loop_or_multiedge(surface) == want
+            loop_free[T] = loop_free.get(T, 0) + (not want)
+            perm = list(range(T))
+            rng.shuffle(perm)
+            other = relabel(surface, perm, [rng.randrange(3) for _ in range(T)])
+            assert _has_loop_or_multiedge(other) == want
+            assert _oracle_has_loop_or_multiedge(other) == want
+    assert loop_free == {2: 1, 4: 1, 6: 1, 8: 2}
 
 
 def _is_minimal(surface):

@@ -186,6 +186,22 @@ def test_check_tri_lb_on_three_subdivision(census8):
         assert canonical_form(cert.coarse) == canonical_form(surface)
 
 
+def test_check_tri_lb_reads_the_degree_cap_before_vertex_reports(census8, monkeypatch):
+    calls = []
+
+    def counting(surface):
+        calls.append(surface)
+        return vertex_orbits(surface)
+
+    monkeypatch.setattr(equilat.degree_bound, "vertex_orbits", counting)
+    for T in (2, 4, 6, 8):  # no face count divisible by 9
+        for surface in census8[T]:
+            cert = check_tri_lb(surface)
+            assert not cert.ok
+            assert cert.max_degree == max(r.degree for r in vertex_orbits(surface))
+    assert calls == []
+
+
 def test_check_tri_lb_rejects_plain_torus(hex_torus):
     assert not check_tri_lb(hex_torus).ok  # 2 faces is not a multiple of 9
 
@@ -387,6 +403,15 @@ def _coarsening_cases(census8):
     for T, seed in ((10, 1), (14, 2)):
         b = bounded_degree_map(random_surface(T, seed)).surface
         yield b, range(seed, b.dart_count, 97)
+    # near misses, 2 to 5 re-paired edge pairs: a macro side may find the
+    # side across it by its first dart and differ in its second or third
+    bases = [s for T in (2, 4, 6) for s in census8[T]]
+    bases += [random_surface(T, seed) for T in (8, 10, 12) for seed in range(4)]
+    for i, s in enumerate(bases):
+        broken = subdivide(s, 3)
+        for _ in range(2 + i % 4):
+            broken = _repair_two_edges(broken, rng)
+        yield broken, range(broken.dart_count)
 
 
 def test_try_coarsening_matches_oracle(census8):

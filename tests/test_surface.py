@@ -229,6 +229,29 @@ def test_random_surface_deterministic():
     assert random_surface(12, 5).gluing == random_surface(12, 5).gluing
 
 
+def _pop_draw(T, seed):
+    """random_surface by list pops: the smallest dart left, then the i-th."""
+    rng = random.Random(seed)
+    while True:
+        darts = list(range(3 * T))
+        gluing = [BOUNDARY] * (3 * T)
+        while darts:
+            a = darts.pop(0)
+            b = darts.pop(rng.randrange(len(darts)))
+            gluing[a] = b
+            gluing[b] = a
+        surface = GluedSurface(T, tuple(gluing))
+        if len(_component_oracle(surface.gluing)) == 1:
+            return surface
+
+
+def test_random_surface_matches_pop_draw():
+    cases = [(T, seed) for T in range(2, 60, 2) for seed in range(30)]
+    cases += [(T, seed) for T in (200, 1000) for seed in range(5)]
+    for T, seed in cases:
+        assert random_surface(T, seed) == _pop_draw(T, seed), (T, seed)
+
+
 def test_connected_components_split(hex_torus, pillowcase):
     gluing = list(hex_torus.gluing) + [p + 6 for p in pillowcase.gluing]
     both = GluedSurface(4, tuple(gluing))
