@@ -4,10 +4,14 @@ from math import factorial
 
 import pytest
 
+import equilat.census as census
+from equilat.cli import main
+from equilat.degree_bound import check_tri_lb
 from equilat.surface import (
     GluedSurface,
     SurfaceError,
     _bfs_code,
+    _build_index,
     canonical_form,
     euler_and_genus,
     _head_corner,
@@ -17,6 +21,7 @@ from equilat.surface import (
 from equilat.census import (
     CensusRow,
     brute_force_classes,
+    connected_mass,
     count_table,
     enumerate_surfaces,
     write_table,
@@ -24,7 +29,9 @@ from equilat.census import (
     _has_loop_or_multiedge,
     _next_unset,
     _root,
+    _search,
 )
+from equilat.translation import detect_structures
 
 
 @pytest.mark.parametrize("T", [2, 4])
@@ -328,3 +335,92 @@ def test_mass_identity_at_ten():
     assert len(classes) == 28174
     assert sum(Fraction(1, _automorphism_count(s.gluing)) for s in classes) == \
         Fraction(82825, 3)
+
+
+def test_mass_series_matches_test_series():
+    for T in range(1, 15):
+        assert connected_mass(T) == _connected_mass(T)
+    assert connected_mass(12) == Fraction(2518400, 3)
+    assert connected_mass(14) == Fraction(1282031525, 42)
+
+
+def test_search_automorphism_count_matches_oracle():
+    found = []
+
+    def collect(gluing, aut):
+        assert aut == _automorphism_count(gluing)
+        found.append(aut)
+
+    for T in (2, 4, 6, 8):
+        _search(T, _root(T), collect)
+    assert len(found) == 1323
+
+
+@pytest.mark.parametrize("fault", ["drop_class", "aut_plus_one"])
+def test_mass_check_catches_a_faulty_search(monkeypatch, capsys, fault):
+    # the first T=8 class the search finds is dropped, or reported with
+    # one automorphism too many
+    faulty = []
+
+    def search(T, node, collect):
+        def collect_with_fault(gluing, aut):
+            if T == 8 and not faulty:
+                faulty.append(gluing)
+                if fault == "drop_class":
+                    return
+                aut += 1
+            collect(gluing, aut)
+
+        _search(T, node, collect_with_fault)
+
+    monkeypatch.setattr(census, "_search", search)
+    with pytest.raises(SurfaceError, match="T=8"):
+        count_table(8)
+    faulty.clear()
+    code = main(["census", "--tmax", "8"])
+    assert code == 1
+    assert faulty
+    assert capsys.readouterr().out.strip().splitlines()[-1].startswith("RESULT: fail T=8")
+
+
+def _rows_one_class_at_a_time(classes_by_T):
+    """Census rows built the old way: each class of the sorted list
+    classified in turn, its index built with the face fill."""
+    rows = []
+    for T, classes in classes_by_T.items():
+        buckets = {}
+        for surface in classes:
+            g = euler_and_genus(surface).genus
+            b = buckets.setdefault(g, {"count": 0, "tran": 0, "lb": 0,
+                                       "hist": {}, "loops": 0})
+            b["count"] += 1
+            b["tran"] += detect_structures(surface) is not None
+            b["lb"] += check_tri_lb(surface).ok
+            md = max(surface.index.degrees)
+            b["hist"][md] = b["hist"].get(md, 0) + 1
+            b["loops"] += _has_loop_or_multiedge(surface)
+        for g in sorted(buckets):
+            b = buckets[g]
+            rows.append(CensusRow(T, g, b["count"], b["tran"], b["lb"],
+                                  tuple(sorted(b["hist"].items())), b["loops"]))
+    return rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streamed_rows_match_rows_from_class_list(census8, workers):
+    assert count_table(8, workers=workers) == _rows_one_class_at_a_time(census8)
+
+
+def test_leaf_index_matches_index_with_face_fill(monkeypatch):
+    built = []
+
+    def build_and_record(gluing, components=None):
+        index = _build_index(gluing, components)
+        built.append((gluing, index))
+        return index
+
+    monkeypatch.setattr(census, "_build_index", build_and_record)
+    count_table(8)
+    assert len(built) == 1323
+    for gluing, index in built:
+        assert index == _build_index(gluing)

@@ -126,6 +126,18 @@ def test_census_rejects_non_integer_max_t(capsys, monkeypatch):
     assert captured.out.strip().splitlines()[-1].startswith("RESULT: fail EQUILAT_MAX_T")
 
 
+@pytest.mark.parametrize("value", ["+12", " 12", "12 ", "1_2", "١٢", "-4"])
+def test_census_max_t_takes_only_ascii_digits(capsys, monkeypatch, value):
+    # int() reads each of these; a TSF numeral holds none of them either
+    monkeypatch.setenv("EQUILAT_MAX_T", value)
+    code = main(["census", "--tmax", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: EQUILAT_MAX_T={value!r} is not an integer")
+    assert captured.out.strip().splitlines() == [
+        f"RESULT: fail EQUILAT_MAX_T={value!r} is not an integer"]
+
+
 @pytest.mark.parametrize("extra", [[], ["--filter", "tran"]])
 def test_census_checks_cap_before_searching(capsys, monkeypatch, extra):
     import equilat.census as census
