@@ -42,6 +42,7 @@ from equilat.surface import (
     GluedSurface,
     SurfaceError,
     _build_index,
+    _next_side,
     euler_and_genus,
 )
 from equilat.translation import detect_structures
@@ -339,10 +340,7 @@ def _has_loop_or_multiedge(surface: GluedSurface) -> bool:
     distinct pairs occur.
     """
     tail = surface.index.corner_vertex
-    head = list(tail)
-    head[0::3] = tail[1::3]
-    head[1::3] = tail[2::3]
-    head[2::3] = tail[0::3]
+    head = _next_side(tail)
     if any(map(eq, tail, head)):
         return True
     pairs = set(zip(map(min, tail, head), map(max, tail, head)))

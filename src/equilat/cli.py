@@ -32,7 +32,7 @@ from equilat.translation import (
 from equilat.degree_bound import bounded_degree_map, check_tri_lb, separation_check
 from equilat.parallelogram import decompose
 from equilat.cover import canonical_cover, verify_cover
-from equilat.census import _census_range, count_table, enumerate_surfaces, write_table
+from equilat.census import _census_range, count_table, write_table
 
 
 def _load(path: str) -> GluedSurface:
@@ -185,18 +185,16 @@ def cmd_census(args) -> int:
     if args.filter and args.out:
         # the CSV is the full table; a filtered run counts classes only
         raise SurfaceError("--out cannot be combined with --filter")
-    if args.filter:
-        pred = {
-            "tran": lambda s: detect_structures(s) is not None,
-            "lb": lambda s: check_tri_lb(s).ok,
-        }[args.filter]
-        total = 0
-        for T in _census_range(args.tmax):
-            classes = enumerate_surfaces(T, filter=pred, workers=args.jobs)
-            total += len(classes)
-            print(f"T={T}: {len(classes)} classes pass filter {args.filter}")
-        return _finish(True, f"{total} classes with filter {args.filter}")
     rows = count_table(args.tmax, workers=args.jobs)
+    if args.filter:
+        # the table's per-genus tran and lb counts, summed over genera
+        field = {"tran": "tran_count", "lb": "lb_count"}[args.filter]
+        passed = dict.fromkeys(_census_range(args.tmax), 0)
+        for row in rows:
+            passed[row.T] += getattr(row, field)
+        for T, count in passed.items():
+            print(f"T={T}: {count} classes pass filter {args.filter}")
+        return _finish(True, f"{sum(passed.values())} classes with filter {args.filter}")
     for row in rows:
         print(f"T={row.T} g={row.genus} count={row.count} "
               f"tran={row.tran_count} lb={row.lb_count}")

@@ -11,18 +11,18 @@ not a multiple of 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
+from operator import add
 
 from equilat.degree_bound import check_tri_lb
 from equilat.surface import (
     BOUNDARY,
     GluedSurface,
     SurfaceError,
+    _next_side,
     connected_components,
-    corner_vertex_map,
     euler_and_genus,
-    vertex_orbits,
 )
 from equilat.translation import TranslationStructure, is_locally_bounded_tran
 
@@ -65,11 +65,8 @@ def holonomy_cocycle(surface: GluedSurface) -> Holonomy6:
     """
     if not surface.is_closed():
         raise SurfaceError("the branched cover is defined for closed surfaces")
-    trans = []
-    for d in range(surface.dart_count):
-        p = surface.gluing[d]
-        s, s2 = d % 3, p % 3
-        trans.append((2 * s2 - 2 * s + 3) % 6)
+    # dart d = 3f + s glued to p = 3f' + s' has 2s' - 2s = 2(p - d) mod 6
+    trans = [(2 * (p - d) + 3) % 6 for d, p in enumerate(surface.gluing)]
     refs = [None] * surface.face_count
     refs[0] = 0
     queue = [0]
@@ -110,18 +107,23 @@ class BranchedCover:
 
 
 def _assemble_total(surface: GluedSurface, h: Holonomy6) -> tuple:
+    """The total space and its dart map, by slice passes.
+
+    Cover dart 3(6f + k) + s = 18f + 3k + s is side s of sheet k over face
+    f and lies over base dart 3f + s.  Over d glued to p, sheet k meets
+    sheet k + transitions[d] of p's face: cover dart 18(p // 3) + p % 3
+    plus 3((k + transitions[d]) % 6).
+    """
     T = surface.face_count
     gluing = [0] * (18 * T)
     dart_map = [0] * (18 * T)
-    for f in range(T):
-        for s in range(3):
-            d = 3 * f + s
-            p = surface.gluing[d]
-            for k in range(6):
-                cd = 3 * (6 * f + k) + s
-                k2 = (k + h.transitions[d]) % 6
-                gluing[cd] = 3 * (6 * (p // 3) + k2) + p % 3
-                dart_map[cd] = d
+    for s in range(3):
+        sheet0 = [18 * (p // 3) + p % 3 for p in surface.gluing[s::3]]
+        trans = h.transitions[s::3]
+        for k in range(6):
+            shift = [3 * ((k + t) % 6) for t in range(6)]
+            gluing[3 * k + s::18] = map(add, sheet0, map(shift.__getitem__, trans))
+            dart_map[3 * k + s::18] = range(s, 3 * T, 3)
     # transitions[d] + transitions[p] = 0 mod 6, so sheet k of d and sheet
     # k + transitions[d] of p glue back to each other: an involution
     return GluedSurface._trusted(6 * T, tuple(gluing)), tuple(dart_map)
@@ -143,16 +145,15 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
     h = holonomy_cocycle(surface)
     total, dart_map = _assemble_total(surface, h)
     base_stats = euler_and_genus(surface)
-    base_reports = vertex_orbits(surface)
-    cv = corner_vertex_map(surface)
+    degrees, cv = surface.index.degrees, surface.index.corner_vertex
     # ramification per base vertex: all preimages share index 6/gcd(6, deg)
     ram = []
-    for rep in base_reports:
-        e = 6 // gcd(6, rep.degree)
-        ram.append(RamificationRecord(rep.vertex, rep.degree, e, 6 // e))
+    for v, deg in enumerate(degrees):
+        e = 6 // gcd(6, deg)
+        ram.append(RamificationRecord(v, deg, e, 6 // e))
     # split into components, keeping the sheet content of each
-    m = sum(1 for rep in base_reports if rep.degree != 6)
-    n_branch = sum(1 for rep in base_reports if rep.degree % 6 != 0)
+    m = sum(1 for deg in degrees if deg != 6)
+    n_branch = sum(1 for deg in degrees if deg % 6 != 0)
     # dart 3i+s weighs zeta^(phase + 2s) as in detect_structures; crossing
     # dart d moves the sheet by transitions[d] and the phase by its negative,
     # so phase + sheet is constant on a component; k0 puts zeta^0 on dart 0
@@ -169,7 +170,7 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
         crit = 0
         for deg, corners in zip(sub.index.degrees, sub.index.corners):
             c = corners[0]
-            base_deg = base_reports[cv[dart_map[3 * faces[c // 3] + c % 3]]].degree
+            base_deg = degrees[cv[dart_map[3 * faces[c // 3] + c % 3]]]
             if deg != lcm(base_deg, 6):
                 raise SurfaceError("cover vertex degree is not lcm(deg, 6)")
             if deg // base_deg > 1:
@@ -179,7 +180,7 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
             raise SurfaceError("cover component genus exceeds 6g + 5m")
         if 2 * stats.genus - 2 + crit != degree * (2 * base_stats.genus - 2) + degree * n_branch:
             raise SurfaceError("Riemann-Hurwitz identity fails on a component")
-        sheets = frozenset((f // 6, f % 6) for f in faces)
+        sheets = frozenset(map(divmod, faces, repeat(6)))
         parts.append(CoverComponent(sub, degree, sheets, structure, stats.genus))
     if sum(p.degree for p in parts) != 6 or len(parts) > 6:
         raise SurfaceError("component degrees do not sum to a degree-6 cover")
@@ -216,21 +217,21 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover) -> CoverReport:
 
     T = surface.face_count
     base_stats = euler_and_genus(surface)
-    base_reports = vertex_orbits(surface)
-    cv = corner_vertex_map(surface)
-    n_branch = sum(1 for rep in base_reports if rep.degree % 6 != 0)
+    degrees, cv = surface.index.degrees, surface.index.corner_vertex
+    n_branch = sum(1 for deg in degrees if deg % 6 != 0)
     if cover.total.face_count != 6 * T:
         fail("total space does not have 6T faces")
-    if len(cover.dart_map) != cover.total.dart_count:
+    dart_map, tg = cover.dart_map, cover.total.gluing
+    if len(dart_map) != cover.total.dart_count:
         fail("dart map does not have one entry per total-space dart")
-    for cd, d in enumerate(cover.dart_map):
-        if cover.dart_map[cover.total.gluing[cd]] != surface.gluing[d]:
-            fail(f"projection does not commute with gluing at cover dart {cd}")
-    if len(cover.ramification) != len(base_reports):
+    if list(map(dart_map.__getitem__, tg)) != list(map(surface.gluing.__getitem__, dart_map)):
+        cd = next(cd for cd, d in enumerate(dart_map) if dart_map[tg[cd]] != surface.gluing[d])
+        fail(f"projection does not commute with gluing at cover dart {cd}")
+    if len(cover.ramification) != len(degrees):
         fail("ramification table does not have one record per base vertex")
-    for rep, rec in zip(base_reports, cover.ramification):
-        if rec.vertex != rep.vertex or rec.base_degree != rep.degree:
-            fail(f"ramification record {rep.vertex} does not match its base vertex")
+    for v, (deg, rec) in enumerate(zip(degrees, cover.ramification)):
+        if rec.vertex != v or rec.base_degree != deg:
+            fail(f"ramification record {v} does not match its base vertex")
         if rec.index != 6 // gcd(6, rec.base_degree):
             fail(f"stored ramification index wrong at vertex {rec.vertex}")
         if rec.index * rec.preimage_count != 6:
@@ -239,14 +240,15 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover) -> CoverReport:
         fail("more than six components")
     if sum(c.degree for c in cover.components) != 6:
         fail("component degrees do not sum to 6")
-    cells = sorted(6 * f + k if 0 <= k < 6 else -1
-                   for c in cover.components for f, k in c.sheets)
-    if cells != list(range(6 * T)):
+    # the total-space faces of each component, in ascending order
+    backs = [sorted(6 * f + k if 0 <= k < 6 else -1 for f, k in c.sheets)
+             for c in cover.components]
+    if sorted(chain.from_iterable(backs)) != list(range(6 * T)):
         fail("component sheets do not partition the 6T total faces")
     locally_bounded = check_tri_lb(surface).ok
-    preimages = [0] * len(base_reports)
+    preimages = [0] * len(degrees)
     rh = []
-    for i, comp in enumerate(cover.components):
+    for i, (comp, back) in enumerate(zip(cover.components, backs)):
         if len(comp.sheets) != comp.surface.face_count:
             fail(f"component {i} has not one sheet per face")
         if comp.surface.face_count != comp.degree * T:
@@ -254,8 +256,7 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover) -> CoverReport:
         # the component is the total space on its sheets: component face j
         # is the j-th smallest of its total-space faces, and each component
         # dart is glued as its total-space dart is
-        back = sorted(6 * f + k for f, k in comp.sheets)
-        g, tg = comp.surface.gluing, cover.total.gluing
+        g = comp.surface.gluing
         if len(back) == len(tg) // 3:
             glued_alike = g == tg  # all sheets: the renumbering is the identity
         else:
@@ -269,20 +270,20 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover) -> CoverReport:
         # the stored weights obey both rules: opposite ends of an edge
         # differ by zeta^3, the next side of a face by zeta^2
         w = comp.structure.weights
-        if len(w) != len(g) or any(
-                w[g[d]] != (w[d] + 3) % 6 or w[d - d % 3 + (d + 1) % 3] != (w[d] + 2) % 6
-                for d in range(len(g))):
+        if len(w) != len(g) or (list(map(w.__getitem__, g)) != [(k + 3) % 6 for k in w]
+                                or _next_side(w) != [(k + 2) % 6 for k in w]):
             fail(f"stored translation structure wrong on component {i}")
         # critical points of the restricted covering from degree ratios
         crit = 0
-        for r in vertex_orbits(comp.surface):
-            total_dart = 3 * back[r.corners[0] // 3] + r.corners[0] % 3
-            v = cv[cover.dart_map[total_dart]]
-            base_deg = base_reports[v].degree
-            if r.degree != cover.ramification[v].index * base_deg:
+        cix = comp.surface.index
+        for deg, corners in zip(cix.degrees, cix.corners):
+            c = corners[0]
+            v = cv[dart_map[3 * back[c // 3] + c % 3]]
+            base_deg = degrees[v]
+            if deg != cover.ramification[v].index * base_deg:
                 fail(f"component {i} vertex degree is not index x base degree")
             preimages[v] += 1
-            if r.degree // base_deg > 1:
+            if deg // base_deg > 1:
                 crit += 1
         lhs = 2 * stats.genus - 2 + crit
         rhs = comp.degree * (2 * base_stats.genus - 2) + comp.degree * n_branch

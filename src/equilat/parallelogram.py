@@ -10,9 +10,11 @@ corner vertex of degree > 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import ne
 from typing import Optional
 
-from equilat.eisenstein import ZERO
+from equilat.eisenstein import Eisenstein
 from equilat.surface import (
     BOUNDARY,
     GluedSurface,
@@ -20,10 +22,10 @@ from equilat.surface import (
     _boundary_cycles,
     _face_components,
     _head_corner,
+    _next_side,
     euler_and_genus,
-    vertex_orbits,
 )
-from equilat.translation import TranslationStructure, _potentials
+from equilat.translation import _ROOT_A, _ROOT_B, TranslationStructure, _potentials
 
 __all__ = [
     "TrajectoryComplex",
@@ -54,24 +56,23 @@ class TrajectoryComplex:
         return self.a0_edges | self.a1_edges | self.a2_edges
 
 
-def _check_input(surface: GluedSurface) -> tuple:
+def _check_input(surface: GluedSurface) -> list:
+    """The vertices of degree > 6 of a surface the decomposition accepts."""
     if not surface.is_closed() or not surface.is_connected():
         raise SurfaceError("decomposition needs a closed connected surface")
-    stats = euler_and_genus(surface)
-    if stats.genus == 1:
+    if euler_and_genus(surface).genus == 1:
         raise SurfaceError("genus-1 translation surfaces have no vertices of degree > 6; "
                            "parallelogram decomposition is undefined")
-    reports = vertex_orbits(surface)
-    high = [r.vertex for r in reports if r.degree > 6]
+    high = [v for v, degree in enumerate(surface.index.degrees) if degree > 6]
     if not high:
         raise SurfaceError("no vertices of degree > 6; decomposition is undefined")
-    return stats, reports, high
+    return high
 
 
 def build_trajectories(surface: GluedSurface, st: TranslationStructure) -> TrajectoryComplex:
     """Fixpoints of the three inductive trajectory rules."""
-    _, _, high = _check_input(surface)
-    cv = surface.index.corner_vertex
+    high = _check_input(surface)
+    heads = _next_side(surface.index.corner_vertex)
     out_darts = surface.index.out_darts
     high_set = set(high)
 
@@ -85,7 +86,7 @@ def build_trajectories(surface: GluedSurface, st: TranslationStructure) -> Traje
                 if st.weights[d] != weight_k:
                     continue
                 edges.add(frozenset((d, surface.gluing[d])))
-                w = cv[_head_corner(d)]
+                w = heads[d]
                 if w not in vertices:
                     vertices.add(w)
                     # trajectories stop on hitting A0, except at seeds
@@ -134,39 +135,39 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
     of degree > 6 lies in A, runs cover A exactly, and relative periods
     between polytope vertices lie in 3Z + 3wZ.
     """
-    stats, reports, high = _check_input(surface)
+    high = _check_input(surface)
     cv = surface.index.corner_vertex
+    weights = st.weights
+    # mark the A darts, cut them, and collect their tails by direction
     in_a = [False] * surface.dart_count
-    for e in A.edges:
-        for d in e:
-            in_a[d] = True
-    for e in A.a0_edges:
-        for d in e:
-            if st.weights[d] not in (0, 3):
-                raise SurfaceError("direction-1 trajectory edge with wrong weight")
-    for e in A.a1_edges | A.a2_edges:
-        for d in e:
-            if st.weights[d] not in (1, 4):
-                raise SurfaceError("diagonal trajectory edge with wrong weight")
+    cut = list(surface.gluing)
+    horizontal, diagonal = set(), set()
+    for edges, allowed, tails, msg in (
+            (A.a0_edges, (0, 3), horizontal, "direction-1 trajectory edge with wrong weight"),
+            (A.a1_edges | A.a2_edges, (1, 4), diagonal,
+             "diagonal trajectory edge with wrong weight")):
+        for e in edges:
+            for d in e:
+                if weights[d] not in allowed:
+                    raise SurfaceError(msg)
+                in_a[d] = True
+                cut[d] = BOUNDARY
+                tails.add(cv[d])
     out_darts = surface.index.out_darts
-    high_set = set(high)
     for v in high:
         for d in out_darts[v]:
-            if st.weights[d] in (0, 1, 3, 4) and not in_a[d]:
+            if weights[d] in (0, 1, 3, 4) and not in_a[d]:
                 raise SurfaceError("axis-direction edge at a degree >6 vertex missed by A")
     # polytope vertices: an A-edge end of weight +-1 and one of weight +-w
-    vb = set()
-    for rep in reports:
-        ks = {st.weights[d] for d in out_darts[rep.vertex] if in_a[d]}
-        if ks & {0, 3} and ks & {1, 4}:
-            vb.add(rep.vertex)
-    if not high_set <= vb:
+    vb = horizontal & diagonal
+    if not set(high) <= vb:
         raise SurfaceError("a degree >6 vertex escaped the polytope vertex set")
     for v in vb:
         for d in out_darts[v]:
-            if st.weights[d] in (0, 3) and not in_a[d]:
+            if weights[d] in (0, 3) and not in_a[d]:
                 raise SurfaceError("horizontal edge at a polytope vertex missed by A")
     # maximal runs
+    heads = _next_side(cv)
     runs = []
     seen_starts = set()
     for v in sorted(vb):
@@ -174,14 +175,14 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
             if not in_a[d] or d in seen_starts:
                 continue
             darts = [d]
-            k = st.weights[d]
-            w = cv[_head_corner(d)]
+            k = weights[d]
+            w = heads[d]
             while w not in vb:
-                nxt = [d2 for d2 in out_darts[w] if in_a[d2] and st.weights[d2] == k]
+                nxt = [d2 for d2 in out_darts[w] if in_a[d2] and weights[d2] == k]
                 if len(nxt) != 1:
                     raise SurfaceError("trajectory run has no unique continuation")
                 darts.append(nxt[0])
-                w = cv[_head_corner(nxt[0])]
+                w = heads[nxt[0]]
             reverse_start = surface.gluing[darts[-1]]
             seen_starts.add(reverse_start)
             runs.append(Run(v, w, tuple(darts), k))
@@ -194,11 +195,10 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
     # complementary regions: the components of S cut along A, each bounded
     # by the one boundary cycle of the cut surface that lies in it.  The
     # runs check above proves that A.edges holds only frozenset((d,
-    # gluing[d])), so in_a marks both darts of every A edge and the cut
-    # stays an involution.  Only its components and boundary cycles are
-    # read, so it is never indexed.
-    cut = GluedSurface._trusted(surface.face_count, tuple(
-        BOUNDARY if in_a[d] else p for d, p in enumerate(surface.gluing)))
+    # gluing[d])), so both darts of every A edge are cut and the cut stays
+    # an involution.  Only its components and boundary cycles are read, so
+    # it is never indexed.
+    cut = GluedSurface._trusted(surface.face_count, tuple(cut))
     components = _face_components(cut.gluing)
     region_of = [0] * surface.face_count
     for rid, faces in enumerate(components):
@@ -214,11 +214,11 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
         if len(walks[rid]) > 1:
             raise SurfaceError("region boundary is not a single closed walk")
         region_objs.append(Region(rid, faces, walks[rid][0]))
-    # relative periods between polytope vertices lie in the index-9 sublattice
-    base = min(vb)
-    potentials, _ = _potentials(surface, st, base)
+    # relative periods between polytope vertices lie in the index-9
+    # sublattice; potentials are periods from base
+    pa, pb, _ = _potentials(surface, st, min(vb))
     for v in sorted(vb):
-        if not (potentials[v] - potentials[base]).in_sublattice(3):
+        if pa[v] % 3 or pb[v] % 3:
             raise SurfaceError(f"polytope vertex {v} at period outside 3Z+3wZ")
     return PolytopeB(frozenset(vb), tuple(runs), tuple(region_objs))
 
@@ -243,21 +243,18 @@ def develop_face(surface: GluedSurface, st: TranslationStructure,
     """
     cv = surface.index.corner_vertex
     walk = region.boundary_darts
-    total = ZERO
-    development = []
-    for d in walk:
-        total = total + st.period(d)
-        development.append(total)
-    closes = total == ZERO
+    ks = list(map(st.weights.__getitem__, walk))
+    xs = list(accumulate(map(_ROOT_A.__getitem__, ks)))
+    ys = list(accumulate(map(_ROOT_B.__getitem__, ks)))
+    closes = not walk or (xs[-1], ys[-1]) == (0, 0)
     n = len(walk)
     # positions i where the direction changes between walk[i] and walk[i+1]
-    change_pos = [i for i in range(n)
-                  if st.weights[walk[i]] != st.weights[walk[(i + 1) % n]]]
+    ks_next = ks[1:] + ks[:1]
+    change_pos = list(compress(range(n), map(ne, ks, ks_next)))
     corners = []
     sides = []  # (weight exponent, length) per side, in walk order
     for j, i in enumerate(change_pos):
-        k1 = st.weights[walk[i]]
-        k2 = st.weights[walk[(i + 1) % n]]
+        k1, k2 = ks[i], ks_next[i]
         v = cv[_head_corner(walk[i])]
         # with the face on the left of the walk it lies clockwise from the
         # incoming edge, which carries the negated weight at v
@@ -283,7 +280,7 @@ def develop_face(surface: GluedSurface, st: TranslationStructure,
         length=length,
         width=width,
         triangle_count=len(region.faces),
-        development=tuple(development),
+        development=tuple(map(Eisenstein, xs, ys)),
     )
 
 

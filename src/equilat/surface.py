@@ -10,10 +10,12 @@ preserve orientation.  Unmatched darts are boundary edges.
 from __future__ import annotations
 
 import random
+import re
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from operator import add, floordiv
+from operator import add, floordiv, lt
 from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -61,8 +63,8 @@ class GluedSurface:
     `with_provenance`, the cover's total space, the decomposition's cut
     surface, the census leaves and the coarse surface of the
     3-coarsening.
-    `load_surface` uses it too, because its line checks already prove the
-    same involution.  Everything built from caller data (`relabel`,
+    `load_surface` uses it too, because its line checks, or their bulk
+    form, already prove the same involution.  Everything built from caller data (`relabel`,
     `surface_from_code`, `replace_stars`) goes through the constructor.
     """
 
@@ -154,6 +156,19 @@ class SurfaceStats:
 def _head_corner(dart: int) -> int:
     f, s = divmod(dart, 3)
     return 3 * f + (s + 1) % 3
+
+
+def _next_side(values: Sequence) -> list:
+    """values[d'] for every dart d, where d' is the next side of d's face.
+
+    Three slice passes.  Of the corner-to-vertex map this gives the head
+    vertex of each dart, since a dart ends where the next side starts.
+    """
+    out = list(values)
+    out[0::3] = values[1::3]
+    out[1::3] = values[2::3]
+    out[2::3] = values[0::3]
+    return out
 
 
 class _IndexScan(NamedTuple):
@@ -371,11 +386,19 @@ def connected_components(surface: GluedSurface) -> list:
 
 # --- TSF format ------------------------------------------------------------
 
+# The text `save_surface` writes: the header, the face count, then one
+# `g a b` line per glued pair, each line ended by "\n".
+_SAVED_TSF = re.compile(r"tsf v1\nT ([0-9]+)\n((?:g [0-9]+ [0-9]+\n)*)")
+
+
 def load_surface(text) -> GluedSurface:
     """Parse the TSF text format.
 
     Line 1 is `tsf v1`, line 2 is `T <count>`, then `g <a> <b>` lines with
-    a < b sorted ascending by a.  `#` starts a comment.
+    a < b sorted ascending by a.  `#` starts a comment.  Text in the form
+    `save_surface` writes is read in one pass; any other text, or text
+    that fails a check there, is read line by line, so every error names
+    its line.
     """
     if isinstance(text, bytes):
         try:
@@ -384,23 +407,65 @@ def load_surface(text) -> GluedSurface:
             ln = text.count(b"\n", 0, exc.start) + 1
             bad = text[exc.start]
             raise SurfaceError(f"line {ln}: non-ASCII byte {bad:#04x}") from exc
+    m = _SAVED_TSF.fullmatch(text)
+    if m is not None:
+        gluing = _saved_gluing(m[1], m[2].split())
+        if gluing is not None:
+            return GluedSurface._trusted(len(gluing) // 3, gluing)
+    return _load_lines(text)
+
+
+def _saved_gluing(count: str, tokens: list) -> Optional[tuple]:
+    """The gluing of saved TSF text, from its face count numeral and the
+    tokens of its `g a b` lines; None when a line check would fail.
+
+    The line checks, made in bulk: the lines can reach T faces, the darts
+    ascend by a, a < b, and b < 3T (numerals have no sign).  Then each
+    glued dart is counted once, which catches a dart named twice, so the
+    gluing is a fixed-point-free partial involution.
+    """
+    n = len(tokens) // 3
+    try:
+        T = int(count)
+        if not 1 <= T <= max(1, 2 * n):
+            return None
+        a = list(map(int, tokens[1::3]))
+        b = list(map(int, tokens[2::3]))
+    except ValueError:  # more digits than int() converts
+        return None
+    if not (all(map(lt, a, a[1:])) and all(map(lt, a, b))
+            and (not b or max(b) < 3 * T)):
+        return None
+    gluing = [BOUNDARY] * (3 * T)
+    deque(map(gluing.__setitem__, a, b), maxlen=0)
+    deque(map(gluing.__setitem__, b, a), maxlen=0)
+    if gluing.count(BOUNDARY) != 3 * T - 2 * n:
+        return None
+    return tuple(gluing)
+
+
+def _load_lines(text: str) -> GluedSurface:
+    """`load_surface` line by line, for any text; errors name their line."""
     lines = []
-    # only "\n" ends a line, as in the byte count above; strip() drops a "\r"
+    # only "\n" ends a line, as in the byte count of `load_surface`;
+    # strip() drops a "\r".  What precedes a comment must be ASCII before
+    # strip() drops non-ASCII spaces, as in bytes, on every line
+    ascii_text = text.isascii()
     for ln, rawline in enumerate(text.split("\n"), start=1):
-        stripped = rawline.split("#", 1)[0].strip()
+        body = rawline.split("#", 1)[0]
+        if not ascii_text and not body.isascii():
+            raise SurfaceError(f"line {ln}: non-ASCII character")
+        stripped = body.strip()
         if stripped:
             lines.append((ln, stripped))
     if not lines or lines[0][1] != "tsf v1":
         raise SurfaceError("line 1: expected header 'tsf v1'")
     if len(lines) < 2 or not lines[1][1].startswith("T "):
         raise SurfaceError("line 2: expected 'T <count>'")
-    # int() also reads "+1", "-0", "1_0" and non-ASCII digits, and split()
-    # breaks at non-ASCII spaces, but TSF is ASCII with numerals of digits
+    # int() also reads "+1", "-0" and "1_0", but TSF numerals are digits
     # only; one scan of the whole text decides whether to check the lines
-    if not text.isascii() or "+" in text or "-" in text or "_" in text:
+    if "+" in text or "-" in text or "_" in text:
         for ln, line in lines[1:]:
-            if not line.isascii():
-                raise SurfaceError(f"line {ln}: non-ASCII character")
             if not all(token.isdigit() for token in line.split()[1:]):
                 raise SurfaceError(f"line {ln}: counts and darts must be "
                                    "ASCII digits")

@@ -17,12 +17,11 @@ from typing import Optional, Sequence
 
 from equilat.eisenstein import ROOTS6, ZERO, Eisenstein
 from equilat.surface import (
-    BOUNDARY,
     GluedSurface,
     SurfaceError,
     _head_corner,
+    _next_side,
     corner_vertex_map,
-    vertex_orbits,
 )
 
 __all__ = [
@@ -63,16 +62,19 @@ def detect_structures(surface: GluedSurface) -> Optional[TranslationStructure]:
         raise SurfaceError("surface must be connected")
     T = surface.face_count
     # weight on dart 3f+s is zeta^(phase[f] + 2s); crossing an edge negates,
-    # so phases propagate by phase[f'] = phase[f] + 2s - 2s' + 3 (mod 6).
+    # so phases propagate by phase[f'] = phase[f] + 2s - 2s' + 3 (mod 6);
+    # for d = 3f+s glued to p = 3f'+s', 2s - 2s' = 2(d - p) (mod 6).
     phase = [None] * T
     phase[0] = 0
+    gluing = surface.gluing
     queue = [0]
     while queue:
         f = queue.pop()
-        for s in range(3):
-            p = surface.gluing[3 * f + s]
-            f2, s2 = divmod(p, 3)
-            forced = (phase[f] + 2 * s - 2 * s2 + 3) % 6
+        flipped = phase[f] + 3
+        for d in range(3 * f, 3 * f + 3):
+            p = gluing[d]
+            f2 = p // 3
+            forced = (flipped + 2 * (d - p)) % 6
             if phase[f2] is None:
                 phase[f2] = forced
                 queue.append(f2)
@@ -120,42 +122,66 @@ class PeriodMap:
     holonomies: tuple
 
 
+# coordinates of zeta^k = _ROOT_A[k] + _ROOT_B[k] w, k = 0..5
+_ROOT_A = tuple(r.a for r in ROOTS6)
+_ROOT_B = tuple(r.b for r in ROOTS6)
+
+
 def _potentials(surface: GluedSurface, st: TranslationStructure, base: int) -> tuple:
     """Breadth-first spanning-tree potentials from vertex `base`.
 
-    Returns (potentials, tree): potentials[v] is the period of the tree path
-    from base to v, and tree[d] is True when dart d carries a tree edge from
-    its tail.
+    Returns (pa, pb, tree): the tree path from base to v has period
+    pa[v] + pb[v] w (None where the tree does not reach v), and tree[d] is
+    True when dart d carries a tree edge from its tail.
     """
-    cv, out_darts = surface.index.corner_vertex, surface.index.out_darts
-    potentials = [None] * len(out_darts)
-    potentials[base] = ZERO
+    out_darts, weights = surface.index.out_darts, st.weights
+    heads = _next_side(surface.index.corner_vertex)
+    pa = [None] * len(out_darts)
+    pb = [None] * len(out_darts)
+    pa[base] = pb[base] = 0
     tree = [False] * surface.dart_count
     queue = [base]
     for v in queue:  # breadth first; queue grows while it is read
-        pv = potentials[v]
+        a, b = pa[v], pb[v]
         for d in out_darts[v]:
-            w = cv[d - 2 if d % 3 == 2 else d + 1]  # head of d
-            if potentials[w] is None:
-                potentials[w] = pv + ROOTS6[st.weights[d]]
+            w = heads[d]
+            if pa[w] is None:
+                k = weights[d]
+                pa[w] = a + _ROOT_A[k]
+                pb[w] = b + _ROOT_B[k]
                 tree[d] = True
                 queue.append(w)
-    return potentials, tree
+    return pa, pb, tree
+
+
+def _periods(surface: GluedSurface, st: TranslationStructure, base: int) -> tuple:
+    """The period map from vertex `base` in integer coordinates.
+
+    Returns (pa, pb, loops): the potentials of `_potentials`, and (d, a, b)
+    for each co-tree edge, by its smaller dart d, where a + b w is the
+    period of the loop base -> tail, edge, head -> base.
+    """
+    if not surface.is_connected():
+        raise SurfaceError("period map requires a connected surface")
+    pa, pb, tree = _potentials(surface, st, base)
+    cv, weights = surface.index.corner_vertex, st.weights
+    heads = _next_side(cv)
+    loops = []
+    for d, p in enumerate(surface.gluing):
+        # BOUNDARY < 0, so d < p also skips unmatched darts
+        if d < p and not (tree[d] or tree[p]):
+            tail, head, k = cv[d], heads[d], weights[d]
+            loops.append((d, pa[tail] + _ROOT_A[k] - pa[head],
+                          pb[tail] + _ROOT_B[k] - pb[head]))
+    return pa, pb, loops
 
 
 def build_period_map(surface: GluedSurface, st: TranslationStructure,
                      base_vertex: Optional[int] = None) -> PeriodMap:
-    if not surface.is_connected():
-        raise SurfaceError("period map requires a connected surface")
     base = 0 if base_vertex is None else base_vertex
-    potentials, tree = _potentials(surface, st, base)
-    cv = surface.index.corner_vertex
-    holonomies = []
-    for d, p in enumerate(surface.gluing):
-        if p != BOUNDARY and d < p and not (tree[d] or tree[p]):
-            tail, head = cv[d], cv[_head_corner(d)]
-            holonomies.append((d, potentials[tail] + st.period(d) - potentials[head]))
-    return PeriodMap(tuple(potentials), tuple(holonomies))
+    pa, pb, loops = _periods(surface, st, base)
+    return PeriodMap(tuple(map(Eisenstein, pa, pb)),
+                     tuple((d, Eisenstein(a, b)) for d, a, b in loops))
 
 
 @dataclass(frozen=True)
@@ -174,22 +200,23 @@ def is_locally_bounded_tran(surface: GluedSurface, st: TranslationStructure) -> 
     relative to the set of vertices of degree > 6: all co-tree loop
     holonomies, and tree-path periods between those vertices.
     """
-    reports = vertex_orbits(surface)
-    max_deg = max(r.degree for r in reports)
+    degrees = surface.index.degrees
+    max_deg = max(degrees)
     degree_ok = max_deg <= MAX_LB_DEGREE
-    high = tuple(r.vertex for r in reports if r.degree > 6)
+    high = [v for v, degree in enumerate(degrees) if degree > 6]
     base = high[0] if high else 0
-    pm = build_period_map(surface, st, base)
+    pa, pb, loops = _periods(surface, st, base)
     failure = None
-    for d, h in pm.holonomies:
-        if not h.in_sublattice(3):
-            failure = f"loop holonomy {h} at dart {d} outside 3Z+3wZ"
+    for d, a, b in loops:
+        if a % 3 or b % 3:
+            failure = f"loop holonomy {Eisenstein(a, b)} at dart {d} outside 3Z+3wZ"
             break
     if failure is None:
+        # potentials are periods from base
         for v in high:
-            rel = pm.potentials[v] - pm.potentials[base]
-            if not rel.in_sublattice(3):
-                failure = f"relative period {rel} to vertex {v} outside 3Z+3wZ"
+            if pa[v] % 3 or pb[v] % 3:
+                failure = (f"relative period {Eisenstein(pa[v], pb[v])} to vertex {v} "
+                           "outside 3Z+3wZ")
                 break
     periods_ok = failure is None
     if not degree_ok and failure is None:

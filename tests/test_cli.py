@@ -117,6 +117,30 @@ def test_census_refuses_filter_with_out(capsys, tmp_path, name):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", ["tran", "lb"])
+def test_census_filter_counts_match_filtered_class_lists(capsys, monkeypatch, name, jobs):
+    import equilat.census as census
+    from equilat.degree_bound import check_tri_lb
+    from equilat.translation import detect_structures
+
+    pred = {"tran": lambda s: detect_structures(s) is not None,
+            "lb": lambda s: check_tri_lb(s).ok}[name]
+    Ts = (2, 4, 6, 8)
+    counts = [len(census.enumerate_surfaces(T, filter=pred)) for T in Ts]
+
+    def no_class_list(*args, **kwargs):
+        raise AssertionError("a filtered census built a class list")
+
+    # the counts come from the table, in one pass with no class list
+    monkeypatch.setattr(census, "enumerate_surfaces", no_class_list)
+    code, out = run(capsys, "census", "--tmax", "8", "--filter", name, "--jobs", jobs)
+    assert code == 0
+    assert out.splitlines() == [
+        f"T={T}: {c} classes pass filter {name}" for T, c in zip(Ts, counts)
+    ] + [f"RESULT: pass {sum(counts)} classes with filter {name}"]
+
+
 def test_census_rejects_non_integer_max_t(capsys, monkeypatch):
     monkeypatch.setenv("EQUILAT_MAX_T", "abc")
     code = main(["census", "--tmax", "4"])

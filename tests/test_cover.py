@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import pytest
 
+import equilat.degree_bound
 from equilat.surface import (
     GluedSurface,
     SurfaceError,
+    SurfaceIndex,
+    VertexReport,
     canonical_form,
     corner_vertex_map,
     euler_and_genus,
@@ -17,6 +20,7 @@ from equilat.surface import (
 from equilat.degree_bound import bounded_degree_map, check_tri_lb
 from equilat.translation import TranslationStructure, detect_structures
 from equilat.cover import canonical_cover, holonomy_cocycle, verify_cover
+from equilat.parallelogram import decompose
 
 
 def sheet_orbit_oracle(surface):
@@ -163,6 +167,19 @@ def test_verify_cover_checks_the_dart_map_length():
         verify_cover(surface, replace(cover, dart_map=cover.dart_map[:-1]))
 
 
+def test_verify_cover_names_the_first_dart_where_the_projection_fails():
+    surface = random_surface(8, 3)
+    cover = canonical_cover(surface)
+    tg = cover.total.gluing
+    for c in (0, 17, len(tg) - 1):
+        dart_map = list(cover.dart_map)
+        dart_map[c] = (dart_map[c] + 1) % surface.dart_count
+        first = min(cd for cd, d in enumerate(dart_map)
+                    if dart_map[tg[cd]] != surface.gluing[d])
+        with pytest.raises(SurfaceError, match=f"gluing at cover dart {first}$"):
+            verify_cover(surface, replace(cover, dart_map=tuple(dart_map)))
+
+
 def test_verify_cover_checks_that_the_sheets_partition_the_total_space():
     surface = random_surface(8, 3)
     cover = canonical_cover(surface)
@@ -273,3 +290,35 @@ def test_verify_cover_checks_each_component_against_the_total_space(pillowcase):
     cover = replace(cover, components=(tampered,) + cover.components[1:])
     with pytest.raises(SurfaceError, match="component 0 is not the total space"):
         verify_cover(pillowcase, cover)
+
+
+def test_cover_and_decompose_read_only_flat_index_fields(monkeypatch):
+    # cover_decompose-style bases, whose check_tri_lb stops at the degree
+    # cap, and locally bounded B(S), whose components go through
+    # is_locally_bounded_tran; built before the reports are refused
+    bases = [subdivide(random_surface(8, seed), 3) for seed in range(3)]
+    bases += [bounded_degree_map(random_surface(4, seed)).surface for seed in range(2)]
+
+    def refuse(index):
+        raise AssertionError("vertex reports were read")
+
+    monkeypatch.setattr(SurfaceIndex, "vertices", property(refuse))
+    # check_tri_lb keeps its vertex_orbits call; here it gets reports made
+    # from the flat fields, so only the path under test is watched
+    monkeypatch.setattr(equilat.degree_bound, "vertex_orbits", lambda s: [
+        VertexReport(v, *fields) for v, fields in enumerate(
+            zip(s.index.degrees, s.index.boundary, s.index.corners))])
+    decomposed = []
+    lb_checked = 0
+    for base in bases:
+        cover = canonical_cover(base)
+        report = verify_cover(base, cover)
+        lb_checked += report.locally_bounded_checked
+        for comp in cover.components:
+            st = detect_structures(comp.surface)
+            assert st == comp.structure
+            if comp.genus >= 2:
+                _, geoms = decompose(comp.surface, st)
+                assert sum(g.triangle_count for g in geoms) == comp.surface.face_count
+                decomposed.append(comp.genus)
+    assert lb_checked == 2 and len(decomposed) >= 5

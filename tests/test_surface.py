@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -146,6 +147,127 @@ def test_tsf_round_trip_or_refusal(drawn):
         return
     assert loaded == surface
     assert save_surface(surface) == text
+
+
+# a non-ASCII space before a comment, or on a line of its own, is refused
+# in str as in bytes, on the header line too
+@pytest.mark.parametrize("text, line", [
+    ("tsf v1\nT 2\ng 0 3\ng 1 4\ng 2 5\xa0\n", 5),
+    ("tsf v1\xa0\nT 2\ng 0 3\ng 1 4\ng 2 5\n", 1),
+    ("\u3000tsf v1 # header\nT 2\ng 0 3\ng 1 4\ng 2 5\n", 1),
+    ("tsf v1\nT\u00a02\ng 0 3\ng 1 4\ng 2 5\n", 2),
+    ("tsf v1\nT 2\n\xa0\ng 0 3\ng 1 4\ng 2 5\n", 3),
+])
+def test_tsf_non_ascii_spaces_are_refused_in_str_and_bytes(text, line):
+    for form in (text, text.encode()):
+        with pytest.raises(SurfaceError, match=f"^line {line}: non-ASCII"):
+            load_surface(form)
+
+
+def test_saved_text_is_read_in_one_pass(monkeypatch, hex_torus):
+    surfaces = [hex_torus, GluedSurface(1, (BOUNDARY,) * 3),
+                GluedSurface(2, (3, BOUNDARY, BOUNDARY, 0, BOUNDARY, BOUNDARY)),
+                subdivide(random_surface(8, 1), 3)]
+    texts = [save_surface(s) for s in surfaces]
+    lines_read = []
+    original = equilat.surface._load_lines
+
+    def recording(text):
+        lines_read.append(text)
+        return original(text)
+
+    monkeypatch.setattr(equilat.surface, "_load_lines", recording)
+    for surface, text in zip(surfaces, texts):
+        assert load_surface(text) == surface
+        assert load_surface(text.encode()) == surface
+    assert lines_read == []
+    # the same form failing a bulk check goes to the line reader
+    with pytest.raises(SurfaceError, match="^line 4: dart glued twice$"):
+        load_surface("tsf v1\nT 2\ng 0 3\ng 1 3\ng 2 5\n")
+    assert len(lines_read) == 1
+
+
+def _tsf_reference(text):
+    """The surface TSF text describes, or None where it must be refused.
+
+    Comments and surrounding spaces are dropped and blank lines skipped;
+    then a `tsf v1` header, `T <faces>` with at most max(1, 2 x lines)
+    faces, and `g <a> <b>` lines of digits with prev a < a < b < 3T, no
+    dart named twice.
+    """
+    rows = [raw.split("#")[0].strip() for raw in text.split("\n")]
+    rows = [row for row in rows if row]
+    if len(rows) < 2 or rows[0] != "tsf v1":
+        return None
+    key, _, count = rows[1].partition(" ")
+    if key != "T" or not count.isdigit() or not 1 <= int(count) <= max(1, 2 * len(rows[2:])):
+        return None
+    T = int(count)
+    gluing = [BOUNDARY] * (3 * T)
+    prev = -1
+    for row in rows[2:]:
+        parts = row.split(" ")
+        if len(parts) != 3 or parts[0] != "g" or not (parts[1] + parts[2]).isdigit():
+            return None
+        a, b = int(parts[1]), int(parts[2])
+        if not prev < a < b < 3 * T or gluing[a] != BOUNDARY or gluing[b] != BOUNDARY:
+            return None
+        gluing[a], gluing[b] = b, a
+        prev = a
+    return GluedSurface(T, tuple(gluing))
+
+
+def _tsf_text(data, T, pairs):
+    """TSF text of T faces and gluing lines `pairs`, with drawn mutations:
+    lines swapped, a dart repeated or out of range, a >= b, too many faces;
+    then comments, blank lines and CRLF line ends."""
+    pairs = [list(pair) for pair in pairs]
+    for _ in range(data.draw(st.integers(0, 2))):
+        kind = data.draw(st.sampled_from(["swap", "repeat", "range", "order", "faces"]))
+        if kind == "faces":
+            T = data.draw(st.sampled_from([0, 2 * len(pairs) + 1, 2 * len(pairs) + 2,
+                                           10**30]))
+            continue
+        if not pairs:
+            continue
+        i, j = (data.draw(st.integers(0, len(pairs) - 1)) for _ in range(2))
+        side = data.draw(st.integers(0, 1))
+        if kind == "swap":
+            pairs[i], pairs[j] = pairs[j], pairs[i]
+        elif kind == "repeat":
+            pairs[i][side] = pairs[j][data.draw(st.integers(0, 1))]
+        elif kind == "range":
+            pairs[i][side] = 3 * T + data.draw(st.integers(0, 3))
+        else:
+            pairs[i][side] = pairs[i][1 - side]
+    lines = ["tsf v1", f"T {T}"] + [f"g {a} {b}" for a, b in pairs]
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if data.draw(st.booleans()):
+            lines[i] += data.draw(st.sampled_from([" # note", "# \u0662 -1 +2", "#"]))
+        else:
+            lines.insert(i, data.draw(st.sampled_from(["", "   ", "# a comment"])))
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+@settings(max_examples=400, deadline=None)
+@given(partial_gluings, st.data())
+def test_tsf_reader_matches_a_line_parser(drawn, data):
+    order, n_pairs = drawn
+    pairs = sorted(tuple(sorted(ab)) for ab in zip(order[0:2 * n_pairs:2],
+                                                   order[1:2 * n_pairs:2]))
+    text = _tsf_text(data, len(order) // 3, pairs)
+    expected = _tsf_reference(text)
+    for form in (text, text.encode()) if text.isascii() else (text,):
+        try:
+            loaded = load_surface(form)
+        except SurfaceError as exc:
+            assert expected is None
+            assert re.match(r"line [0-9]+: ", str(exc)), str(exc)
+        else:
+            assert expected is not None
+            assert (loaded.face_count, loaded.gluing) == (expected.face_count, expected.gluing)
 
 
 def test_single_triangle_boundary():
