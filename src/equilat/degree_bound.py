@@ -7,13 +7,18 @@ and the last layer is a plain fan.  All TH_d interior degrees stay <= 7.
 
 bounded_degree_map chains 4-subdivision, TD -> TH star replacement at
 every vertex of degree > 7, and 3-subdivision; the output has maximum
-degree 7, the same genus, and a coarsening certificate.
+degree 7, the same genus, and a coarsening certificate.  recover_original
+inverts it from the output's gluing alone: 3-coarsening, a TH -> TD swap
+at every TH block it finds, and 4-coarsening.  One coarsening serves both
+factors, and one finder of TH blocks serves the inverse and
+th_center_candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import count, repeat
+from operator import eq, itemgetter
 from typing import Optional, Sequence
 
 from equilat.surface import (
@@ -24,8 +29,6 @@ from equilat.surface import (
     _face_subdivision,
     corner_vertex_map,
     euler_and_genus,
-    load_surface,
-    save_surface,
     subdivide,
     vertex_orbits,
 )
@@ -180,6 +183,44 @@ def _star_fan(surface: GluedSurface, corners) -> tuple:
     return fan_faces, outer
 
 
+def _replace_disks(surface: GluedSurface, disks, blocks) -> GluedSurface:
+    """Swap each disk of a surface for a block with the same boundary length.
+
+    disks[i] is (faces, outer): the faces of a disk, and outer[t] its dart
+    along boundary edge t, whose partner the boundary dart t of blocks[i]
+    takes over.  The disks must be face-disjoint, and every outer dart
+    glued to a face outside all of them.  Kept faces keep their order and
+    the blocks follow, in order.
+    """
+    removed = set()
+    for faces, _ in disks:
+        removed.update(faces)
+    kept = [f for f in range(surface.face_count) if f not in removed]
+    face_map = {f: i for i, f in enumerate(kept)}
+    gluing = [BOUNDARY] * (3 * len(kept))
+    hole_of = {}  # kept dart across an outer dart -> the block dart it meets
+    for (_, outer), block in zip(disks, blocks):
+        off = len(gluing)
+        for o, b in zip(outer, block.boundary_darts):
+            hole_of[surface.gluing[o]] = off + b
+        gluing.extend([BOUNDARY if p == BOUNDARY else p + off
+                       for p in block.surface.gluing])
+    for f in kept:
+        for s in range(3):
+            d = 3 * f + s
+            p = surface.gluing[d]
+            if p == BOUNDARY:
+                continue
+            nd = 3 * face_map[f] + s
+            if p // 3 in removed:
+                b = hole_of[d]
+                gluing[nd] = b
+                gluing[b] = nd
+            else:
+                gluing[nd] = 3 * face_map[p // 3] + p % 3
+    return GluedSurface(len(gluing) // 3, tuple(gluing))
+
+
 def replace_stars(surface: GluedSurface, centers, blocks) -> GluedSurface:
     """Swap the closed star fan at each center vertex for the given disk block.
 
@@ -187,63 +228,24 @@ def replace_stars(surface: GluedSurface, centers, blocks) -> GluedSurface:
     TriangulatedDisk instances with the same boundary length d.  Stars must
     be embedded and pairwise disjoint.
     """
-    star_of = {}
-    hole_info = {}  # hole dart -> (center index, position j)
+    disks = []
     all_star_faces = set()
-    plans = []
-    for ci, rep in enumerate(centers):
+    for rep in centers:
         fan_faces, outer = _star_fan(surface, rep.corners)
-        if len(set(fan_faces)) != len(fan_faces):
+        fan = set(fan_faces)
+        if len(fan) != len(fan_faces):
             raise SurfaceError(f"star at vertex {rep.vertex} is not embedded")
-        holes = []
-        for j, o in enumerate(outer):
+        for o in outer:
             h = surface.gluing[o]
-            if h == BOUNDARY or h // 3 in fan_faces:
+            if h == BOUNDARY or h // 3 in fan:
                 raise SurfaceError(f"star at vertex {rep.vertex} touches itself")
-            holes.append(h)
-            hole_info[h] = (ci, j)
-        for f in fan_faces:
-            if f in all_star_faces:
-                raise SurfaceError("stars are not pairwise disjoint")
-            all_star_faces.add(f)
-        plans.append((rep, fan_faces, holes, blocks[ci]))
-    kept = [f for f in range(surface.face_count) if f not in all_star_faces]
-    face_map = {f: i for i, f in enumerate(kept)}
-    offsets = []
-    total = len(kept)
-    for _, _, _, block in plans:
-        offsets.append(total)
-        total += block.surface.face_count
-
-    def th_dart(ci: int, local: int) -> int:
-        return 3 * offsets[ci] + local
-
-    gluing = [BOUNDARY] * (3 * total)
-
-    def glue(a, b):
-        gluing[a] = b
-        gluing[b] = a
-
-    for f in kept:
-        for s in range(3):
-            d = 3 * f + s
-            p = surface.gluing[d]
-            nd = 3 * face_map[f] + s
-            if p == BOUNDARY:
-                continue
-            if p // 3 in all_star_faces:
-                ci, j = hole_info[d]
-                block = plans[ci][3]
-                t = (-j - 1) % block.d
-                glue(nd, th_dart(ci, block.boundary_darts[t]))
-            else:
-                glue(nd, 3 * face_map[p // 3] + p % 3)
-    for ci, (_, _, _, block) in enumerate(plans):
-        bs = block.surface
-        for dloc, p in enumerate(bs.gluing):
-            if p != BOUNDARY:
-                glue(th_dart(ci, dloc), th_dart(ci, p))
-    return GluedSurface(total, tuple(gluing))
+        if not all_star_faces.isdisjoint(fan):
+            raise SurfaceError("stars are not pairwise disjoint")
+        all_star_faces |= fan
+        # the fan runs against the block's boundary: its position j meets
+        # boundary edge -j-1 (mod d)
+        disks.append((fan, outer[::-1]))
+    return _replace_disks(surface, disks, blocks)
 
 
 def bounded_degree_map(surface: GluedSurface) -> DegreeBoundResult:
@@ -271,9 +273,7 @@ def bounded_degree_map(surface: GluedSurface) -> DegreeBoundResult:
     centers = tuple((r.vertex, r.degree) for r in high)
     blocks = [build_TH(r.degree) for r in high]
     stage2 = replace_stars(stage1, high, blocks) if high else stage1
-    # provenance first, so that only the returned B(S) builds an index
-    result = subdivide(stage2, 3).with_provenance(
-        ("degree_bound", save_surface(surface), centers))
+    result = subdivide(stage2, 3)
     out_stats = euler_and_genus(result)
     if out_stats.genus != stats.genus:
         raise SurfaceError("replacement changed the genus; implementation bug")
@@ -290,13 +290,6 @@ def bounded_degree_map(surface: GluedSurface) -> DegreeBoundResult:
         sigma=result.face_count / surface.face_count,
         mu=mu,
     )
-
-
-def recover_original(surface: GluedSurface) -> GluedSurface:
-    """Invert bounded_degree_map from the stored construction record."""
-    if not surface.provenance or surface.provenance[0] != "degree_bound":
-        raise SurfaceError("surface carries no degree-bound construction record")
-    return load_surface(surface.provenance[1])
 
 
 # --- pattern matching and coarsening ----------------------------------------
@@ -382,15 +375,17 @@ def match_pattern(pattern: GluedSurface, target: GluedSurface,
             for i in range(0, len(img), 3)}
 
 
-# the 3-subdivided triangle matched from its dart 0: the walk's steps and
-# its one interior check, and a getter of the images of the nine darts
-# carrying the sides' sub-edges, three per side in order
-_REF3_GLUING, _REF3_SIDE_DARTS = _face_subdivision(3)
-_REF3_PROGRAM = _compile_pattern(_REF3_GLUING, 0)
-_REF3_STEPS = _REF3_PROGRAM[1]
-((_REF3_CHECK_I, _REF3_CHECK_J),) = _REF3_PROGRAM[2]
-_REF3_SIDE_IMAGES = itemgetter(*(_REF3_PROGRAM[0].index(d)
-                                 for side in _REF3_SIDE_DARTS for d in side))
+def _coarsening_program(k: int) -> tuple:
+    """The k-subdivided triangle matched from its dart 0: the walk's steps,
+    its interior checks, and a getter of the images of the 3k darts
+    carrying the sides' sub-edges, k per side in order."""
+    inner, sides = _face_subdivision(k)
+    darts, steps, checks, _ = _compile_pattern(inner, 0)
+    return steps, checks, itemgetter(*(darts.index(d) for side in sides for d in side))
+
+
+# for check_tri_lb and the inverse's 4-coarsening
+_COARSENING_PROGRAMS = {k: _coarsening_program(k) for k in (3, 4)}
 
 
 @dataclass(frozen=True)
@@ -402,13 +397,14 @@ class LbCertificate:
     face_owner: Optional[tuple]  # face -> macro face id
 
 
-def _try_coarsening(surface: GluedSurface, seed_dart: int):
-    """Grow a partition into 9-face macro triangles from one corner dart.
+def _try_coarsening(surface: GluedSurface, seed_dart: int, k: int):
+    """Grow a partition into k^2-face macro triangles from one corner dart.
 
     The surface must be closed: partners are read with no boundary test.
-    Coarse dart k = 3m+s is side s of macro triangle m; its sub-edges are
-    carried, in order, by small darts sides[3k], sides[3k+1], sides[3k+2].
+    Coarse dart c = 3m+s is side s of macro triangle m; its sub-edges are
+    carried, in order, by small darts sides[kc], ..., sides[kc+k-1].
     """
+    steps, checks, side_images = _COARSENING_PROGRAMS[k]
     gluing = surface.gluing
     owner = [-1] * surface.face_count
     sides = []
@@ -418,52 +414,72 @@ def _try_coarsening(surface: GluedSurface, seed_dart: int):
     def claim(dart) -> bool:
         o1, o2 = _NEXT_SIDES[dart % 3]
         img = [dart, dart + o1, dart + o2]
-        for i in _REF3_STEPS:
+        for i in steps:
             x = gluing[img[i]]
             o1, o2 = _NEXT_SIDES[x % 3]
             img += (x, x + o1, x + o2)
-        if gluing[img[_REF3_CHECK_I]] != img[_REF3_CHECK_J]:
-            return False
+        for i, j in checks:
+            if gluing[img[i]] != img[j]:
+                return False
         # each image triple is a whole face, so this also rejects a face
         # that one claim reaches twice
-        mid = len(sides) // 9
+        mid = len(sides) // (3 * k)
         for x in img[::3]:
             if owner[x // 3] != -1:
                 return False
             owner[x // 3] = mid
-        new = _REF3_SIDE_IMAGES(img)
+        new = side_images(img)
         side_of[new[0]] = 3 * mid
-        side_of[new[3]] = 3 * mid + 1
-        side_of[new[6]] = 3 * mid + 2
+        side_of[new[k]] = 3 * mid + 1
+        side_of[new[2 * k]] = 3 * mid + 2
         sides.extend(new)
         return True
 
     if not claim(seed_dart):
         return None
     # breadth first over coarse darts, so they come in order; the side
-    # across side k must carry the partners of k's darts in reverse order.
+    # across side c must carry the partners of c's darts in reverse order.
     # A list iterator also yields what claims append while it runs.
     darts = iter(sides)
-    for a0, a1, a2 in zip(darts, darts, darts):
-        b0 = gluing[a2]
-        k2 = side_of.get(b0)
-        if k2 is None:
-            k2 = len(sides) // 3
+    rest = range(k - 2, -1, -1)
+    for side in zip(*repeat(darts, k)):
+        b0 = gluing[side[-1]]
+        c2 = side_of.get(b0)
+        if c2 is None:
+            c2 = len(sides) // k
             if not claim(b0):
                 return None
-        if sides[3 * k2 + 1] != gluing[a1] or sides[3 * k2 + 2] != gluing[a0]:
-            return None
-        coarse.append(k2)
+        base = k * c2 + 1
+        for i in rest:
+            if sides[base] != gluing[side[i]]:
+                return None
+            base += 1
+        coarse.append(c2)
     if -1 in owner:
         return None  # disconnected leftovers
-    # Trusted: k -> k2 holds when k2's darts are the partners of k's darts
+    if any(map(eq, coarse, count())):
+        return None  # a side glued to itself, folded at its middle
+    # Trusted: c -> c2 holds when c2's darts are the partners of c's darts
     # in reverse.  That relation is symmetric, and a side's first dart names
-    # it, so k2 -> k as well: the gluing is an involution.  k2 == k would
-    # glue k's middle dart to itself.
+    # it, so c2 -> c as well: the gluing is an involution, and it has no
+    # fixed point.
     coarse = GluedSurface._trusted(len(coarse) // 3, tuple(coarse))
     cv = surface.index.corner_vertex
-    macro_vertices = frozenset([cv[d] for d in sides[::3]])
+    macro_vertices = frozenset([cv[d] for d in sides[::k]])
     return coarse, macro_vertices, tuple(owner)
+
+
+def _coarsen(surface: GluedSurface, k: int, reports) -> Optional[tuple]:
+    """The first k-coarsening whose macro vertices hold every vertex of
+    degree != 6, seeded at the corners of the first such vertex (at every
+    dart when there is none); None when no seed gives one."""
+    neq6 = [r.vertex for r in reports if r.degree != 6]
+    seeds = reports[neq6[0]].corners if neq6 else range(surface.dart_count)
+    for seed in seeds:
+        got = _try_coarsening(surface, seed, k)
+        if got is not None and got[1].issuperset(neq6):
+            return got
+    return None
 
 
 def check_tri_lb(surface: GluedSurface) -> LbCertificate:
@@ -479,21 +495,10 @@ def check_tri_lb(surface: GluedSurface) -> LbCertificate:
     max_deg = max(surface.index.degrees)
     if max_deg > 7 or surface.face_count % 9 != 0:
         return LbCertificate(False, max_deg, None, None, None)
-    reports = vertex_orbits(surface)
-    neq6 = [r.vertex for r in reports if r.degree != 6]
-    if neq6:
-        seeds = list(reports[neq6[0]].corners)
-    else:
-        seeds = list(range(surface.dart_count))
-    for seed in seeds:
-        got = _try_coarsening(surface, seed)
-        if got is None:
-            continue
-        coarse, macro_vertices, owner = got
-        if not set(neq6) <= macro_vertices:
-            continue
-        return LbCertificate(True, max_deg, coarse, macro_vertices, owner)
-    return LbCertificate(False, max_deg, None, None, None)
+    got = _coarsen(surface, 3, vertex_orbits(surface))
+    if got is None:
+        return LbCertificate(False, max_deg, None, None, None)
+    return LbCertificate(True, max_deg, *got)
 
 
 @dataclass(frozen=True)
@@ -530,40 +535,79 @@ def separation_check(surface: GluedSurface, cert: LbCertificate) -> SeparationRe
     return SeparationReport(all_macro, all_macro)
 
 
+# --- finding TH blocks --------------------------------------------------------
+
+def _th_rings(ix, v: int) -> list:
+    """BFS rings 1, 2, ... around v, while ring 1 holds deg(v) vertices
+    and each later ring twice, or twice plus one, as many as the one before.
+
+    A vertex-injective TH_d centered at v has ring i equal to its layer i,
+    counted from the center, since the rest of the surface is reached only
+    through its boundary.  So its rings read th_layer_sizes(d) reversed,
+    and d is the size of one of these rings past the first.
+    """
+    cv, corners = ix.corner_vertex, ix.corners
+    seen = {v}
+    ring = [v]
+    rings = []
+    while True:
+        nxt = []
+        for u in ring:
+            # the heads of the darts leaving u miss a boundary vertex's last
+            # neighbor, but inside an embedded TH_d only its own boundary
+            # ring may hold boundary vertices, so its rings come out exact
+            for c in corners[u]:
+                w = cv[c - 2 if c % 3 == 2 else c + 1]
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        want = ix.degrees[v] if not rings else 2 * len(ring)
+        if len(nxt) not in (want, want + bool(rings)):
+            return rings
+        rings.append(nxt)
+        ring = nxt
+
+
+def _th_pattern(d: int, cache: dict) -> tuple:
+    """TH_d compiled from its center: (program, corner->vertex map, the
+    program position of each boundary dart)."""
+    if d not in cache:
+        block = build_TH(d)
+        ix = block.surface.index
+        program = _compile_pattern(block.surface.gluing, ix.corners[block.center][0])
+        pos = {x: i for i, x in enumerate(program[0])}
+        cache[d] = (program, ix.corner_vertex, [pos[b] for b in block.boundary_darts])
+    return cache[d]
+
+
+def _th_walks(surface: GluedSurface, v: int, d: int, cache: dict):
+    """The vertex-injective images of TH_d, centered at v, one per corner
+    of v that TH_d's center corner can map to."""
+    program, pattern_cv, _ = _th_pattern(d, cache)
+    ix = surface.index
+    for c in ix.corners[v]:
+        img = _walk(program, surface.gluing, c)
+        if img is not None and _vertex_injective(program[0], img, pattern_cv,
+                                                 ix.corner_vertex):
+            yield img
+
+
 def th_center_candidates(surface: GluedSurface) -> dict:
     """Plausible TH_d boundary sizes per candidate center vertex.
 
     A vertex of interior degree 4..7 could be the fan center of an
-    embedded TH_d; each matching d is reported.  On replacement output
-    the candidate set has size at most two.
+    embedded TH_d; each d whose TH_d embeds there vertex-injectively is
+    reported, trying only the d that the BFS rings allow (_th_rings).  On
+    replacement output the candidate set has size at most two.
     """
-    reports = [r for r in vertex_orbits(surface) if not r.boundary and 4 <= r.degree <= 7]
+    ix = surface.index
     out = {}
-    th_cache = {}
-    target_cv = surface.index.corner_vertex
-    for rep in reports:
-        found = set()
-        # faces(TH_d) > d, so larger d cannot embed
-        for d in range(8, surface.face_count + 1):
-            sizes = th_layer_sizes(d)
-            if sizes[-1] != rep.degree:
-                continue
-            if d not in th_cache:
-                block = build_TH(d)
-                ix = block.surface.index
-                center_corner = ix.corners[block.center][0]
-                program = _compile_pattern(block.surface.gluing, center_corner)
-                th_cache[d] = (block, program, ix.corner_vertex)
-            block, program, pattern_cv = th_cache[d]
-            if block.surface.face_count > surface.face_count:
-                continue
-            for c in rep.corners:
-                img = _walk(program, surface.gluing, c)
-                if img is not None and _vertex_injective(program[0], img,
-                                                         pattern_cv, target_cv):
-                    found.add(d)
-                    break
-        out[rep.vertex] = found
+    cache = {}
+    for v, deg in enumerate(ix.degrees):
+        if ix.boundary[v] or not 4 <= deg <= 7:
+            continue
+        out[v] = {len(ring) for ring in _th_rings(ix, v)[1:]
+                  if next(_th_walks(surface, v, len(ring), cache), None) is not None}
     return out
 
 
@@ -571,3 +615,70 @@ def _vertex_injective(darts, img, pattern_cv, target_cv) -> bool:
     """True when the dart map darts[i] -> img[i] is injective on vertices."""
     vmap = {pattern_cv[d]: target_cv[x] for d, x in zip(darts, img)}
     return len(set(vmap.values())) == len(vmap)
+
+
+def _th_blocks(surface: GluedSurface) -> list:
+    """The TH blocks of a stage-2 surface, as (d, image darts, outer darts).
+
+    A center has degree 4..7, and TH_d walks onto it vertex-injectively
+    with the image of its boundary vertex t of degree 6 + t % 2: a flat
+    vertex of the 4-subdivision, which gains one face when t is odd.
+    TH_e sits inside TH_2e around the same center, so each center takes
+    its largest such d.  outer[t] is the image of boundary dart t.
+    """
+    ix = surface.index
+    degrees = ix.degrees
+    cache = {}
+    found = []
+    for v, deg in enumerate(degrees):
+        if not 4 <= deg <= 7:
+            continue
+        for ring in reversed(_th_rings(ix, v)[1:]):
+            d = len(ring)
+            # the boundary test in bulk, before any walk
+            if sorted(degrees[u] for u in ring) != [6] * (d - d // 2) + [7] * (d // 2):
+                continue
+            bpos = _th_pattern(d, cache)[2]
+            img = next((img for img in _th_walks(surface, v, d, cache)
+                        if all(degrees[ix.corner_vertex[img[p]]] == 6 + t % 2
+                               for t, p in enumerate(bpos))), None)
+            if img is not None:
+                found.append((d, img, [img[p] for p in bpos]))
+                break
+    return found
+
+
+# --- the inverse map ------------------------------------------------------------
+
+def recover_original(surface: GluedSurface) -> GluedSurface:
+    """Invert bounded_degree_map from the gluing alone, up to relabeling.
+
+    3-coarsening: check_tri_lb's coarse surface is stage 2.  Block swap:
+    each TH_d block found by _th_blocks goes back to the fan TD_d.
+    4-coarsening: the coarse surface is the input.  A surface that no
+    step accepts raises SurfaceError naming that step.
+    """
+    if not surface.is_closed() or not surface.is_connected():
+        raise SurfaceError("3-coarsening: needs a closed connected surface")
+    cert = check_tri_lb(surface)
+    if not cert.ok:
+        raise SurfaceError("3-coarsening: not a 3-subdivision of maximum degree 7 "
+                           "with every non-flat vertex a macro vertex")
+    stage2 = cert.coarse
+    cv = stage2.index.corner_vertex
+    disks, blocks = [], []
+    used = set()  # vertices of the blocks so far
+    for d, img, outer in _th_blocks(stage2):
+        vertices = {cv[x] for x in img}
+        if not used.isdisjoint(vertices):
+            raise SurfaceError(f"block swap: TH blocks overlap at vertex "
+                               f"{min(used & vertices)}")
+        used |= vertices
+        disks.append(({x // 3 for x in img[::3]}, outer))
+        blocks.append(build_TD(d))
+    stage1 = _replace_disks(stage2, disks, blocks)
+    got = _coarsen(stage1, 4, vertex_orbits(stage1))
+    if got is None:
+        raise SurfaceError("4-coarsening: the swapped surface is not a "
+                           "4-subdivision with every non-flat vertex a macro vertex")
+    return got[0]

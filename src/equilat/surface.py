@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import add, floordiv, lt
@@ -58,11 +58,9 @@ class GluedSurface:
     The constructor checks that the gluing is a fixed-point-free partial
     involution.  `_trusted` skips that check.  It is used only where the
     output is valid by construction from an already valid surface:
-    `subdivide`, `conformal_double`, `connected_components` (a
-    one-component split returns the surface's own gluing and index),
-    `with_provenance`, the cover's total space, the decomposition's cut
-    surface, the census leaves and the coarse surface of the
-    3-coarsening.
+    `subdivide`, `conformal_double`, `connected_components`, the
+    cover's total space, the decomposition's cut surface, the census
+    leaves and the coarse surface of a k-coarsening.
     `load_surface` uses it too, because its line checks, or their bulk
     form, already prove the same involution.  Everything built from caller data (`relabel`,
     `surface_from_code`, `replace_stars`) goes through the constructor.
@@ -70,7 +68,6 @@ class GluedSurface:
 
     face_count: int
     gluing: tuple
-    provenance: Optional[tuple] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         T = self.face_count
@@ -90,12 +87,10 @@ class GluedSurface:
                 raise SurfaceError(f"gluing is not an involution at dart {d}")
 
     @classmethod
-    def _trusted(cls, face_count: int, gluing: tuple,
-                 provenance: Optional[tuple] = None) -> "GluedSurface":
+    def _trusted(cls, face_count: int, gluing: tuple) -> "GluedSurface":
         """Build without the involution check; the gluing must be a valid tuple."""
         self = object.__new__(cls)
-        self.__dict__.update(face_count=face_count, gluing=gluing,
-                             provenance=provenance)
+        self.__dict__.update(face_count=face_count, gluing=gluing)
         return self
 
     @property
@@ -115,9 +110,6 @@ class GluedSurface:
 
     def is_connected(self) -> bool:
         return len(self.index.components) == 1
-
-    def with_provenance(self, provenance: tuple) -> "GluedSurface":
-        return GluedSurface._trusted(self.face_count, self.gluing, provenance)
 
     @cached_property
     def index(self) -> "SurfaceIndex":
@@ -364,11 +356,7 @@ def connected_components(surface: GluedSurface) -> list:
     """Split into connected surfaces, faces renumbered in ascending order."""
     components = surface.index.components
     if len(components) == 1:
-        # the renumbering is the identity: the part shares the gluing and
-        # the index, and drops only the provenance
-        part = GluedSurface._trusted(surface.face_count, surface.gluing)
-        part.__dict__["index"] = surface.index
-        return [part]
+        return [surface]  # the renumbering is the identity
     parts = []
     for faces in components:
         index = {f: i for i, f in enumerate(faces)}

@@ -11,6 +11,7 @@ from equilat.surface import (
     GluedSurface,
     canonical_form,
     euler_and_genus,
+    load_surface,
     save_surface,
     subdivide,
     vertex_orbits,
@@ -124,12 +125,14 @@ def test_acceptance_5_degree_bound(corpus200):
         ok = ok and euler_and_genus(b).genus == euler_and_genus(s).genus
         cert = check_tri_lb(b)
         ok = ok and cert.ok and separation_check(b, cert).ok
-        ok = ok and save_surface(recover_original(b)) == save_surface(s)
+        # the inverse sees only the gluing of B(S), read back from TSF
+        recovered = recover_original(load_surface(save_surface(b)))
+        ok = ok and canonical_form(recovered) == canonical_form(s)
         if result.mu is not None:
             mu_values.append(result.mu)
     mu_max = max(mu_values)
     ok = ok and mu_max <= 8.0  # frozen from the measured corpus maximum 7.43
-    report(5, ok, f"bounded-degree map on {len(corpus200)} surfaces, "
+    report(5, ok, f"bounded-degree map and its inverse on {len(corpus200)} surfaces, "
                   f"measured mu max {mu_max:.2f}")
 
 

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import equilat.degree_bound
 from equilat.surface import (
@@ -13,13 +15,18 @@ from equilat.surface import (
     conformal_double,
     corner_vertex_map,
     euler_and_genus,
+    load_surface,
     random_surface,
+    relabel,
     save_surface,
     subdivide,
     vertex_orbits,
 )
 from equilat.degree_bound import (
+    _compile_pattern,
     _try_coarsening,
+    _vertex_injective,
+    _walk,
     bounded_degree_map,
     build_TD,
     build_TH,
@@ -169,11 +176,87 @@ def test_centers_are_the_high_degree_vertices_of_the_four_subdivision(census8, m
             tuple((r.vertex, r.degree) for r in stars)
 
 
-def test_provenance_recovers_input_bit_exactly():
-    surface = random_surface(8, 11)
-    result = bounded_degree_map(surface)
-    recovered = recover_original(result.surface)
-    assert save_surface(recovered) == save_surface(surface)
+def _recovers(surface, b):
+    return canonical_form(recover_original(b)) == canonical_form(surface)
+
+
+def test_recovery_after_tsf_round_trip_on_small_census(census8):
+    # the inverse reads only the gluing of B(S); the classes are pairwise
+    # non-isomorphic, so this also shows that B separates them
+    classes = [s for T in (2, 4, 6) for s in census8[T]]
+    assert len(classes) == 95
+    for surface in classes:
+        b = bounded_degree_map(surface).surface
+        assert _recovers(surface, load_surface(save_surface(b)))
+
+
+def _relabeling(T, rng):
+    return rng.sample(range(T), T), [rng.randrange(3) for _ in range(T)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((2, 4, 6, 8)), st.integers(0, 10**6), st.randoms(use_true_random=False))
+def test_recovery_is_invariant_under_relabeling(T, seed, rng):
+    surface = random_surface(T, seed)
+    b = bounded_degree_map(surface).surface
+    assert _recovers(surface, relabel(b, *_relabeling(b.face_count, rng)))
+    moved = relabel(surface, *_relabeling(T, rng))
+    assert _recovers(surface, bounded_degree_map(moved).surface)
+
+
+def _halved_sum(d):
+    """Sum of the layer sizes d_i, i >= 1, of TH_d: d_i = d_(i-1) // 2
+    down to the first at most 7."""
+    total = 0
+    while d > 7:
+        d //= 2
+        total += d
+    return total
+
+
+def test_face_count_of_the_map_is_exact_and_below_198T(census8):
+    # faces(B(S)) = 9 (16T + 2 sum_v sum_(i>=1) d_i(deg v)) over the
+    # vertices of degree > 7, and the degrees of a closed surface sum to 3T
+    surfaces = [s for T in (2, 4, 6, 8) for s in census8[T]]
+    surfaces += [random_surface(T, 0) for T in (10, 50, 200, 1000)]
+    for surface in surfaces:
+        T = surface.face_count
+        degrees = [r.degree for r in vertex_orbits(surface)]
+        want = 9 * (16 * T + 2 * sum(_halved_sum(d) for d in degrees if d > 7))
+        got = bounded_degree_map(surface).surface.face_count
+        assert got == want < 198 * T
+
+
+def _overlapping_blocks():
+    """B(S) built on a 3-subdivision in place of a 4-subdivision: the
+    layered disks of two neighbouring stars come to share vertices."""
+    sub = subdivide(random_surface(14, 0), 3)
+    high = [r for r in vertex_orbits(sub) if r.degree > 7]
+    return subdivide(replace_stars(sub, high, [build_TH(r.degree) for r in high]), 3)
+
+
+def test_recover_original_refuses_hostile_input(census8, monkeypatch):
+    rng = random.Random(19)
+    b = bounded_degree_map(random_surface(10, 3)).surface
+    bounded = next(s for s in census8[8] if max(r.degree for r in vertex_orbits(s)) <= 7)
+    cases = [(build_TH(16).surface, "3-coarsening"),
+             (census8[8][100], "3-coarsening"),
+             (_overlapping_blocks(), "block swap"),
+             (subdivide(bounded, 3), "4-coarsening")]
+    cases += [(_repair_two_edges(b, rng), "3-coarsening") for _ in range(3)]
+    tried = []
+
+    def counting(surface, seed, k):
+        tried.append((id(surface), seed, k))
+        return _try_coarsening(surface, seed, k)
+
+    monkeypatch.setattr(equilat.degree_bound, "_try_coarsening", counting)
+    for surface, step in cases:
+        del tried[:]
+        with pytest.raises(SurfaceError, match=f"^{step}:"):
+            recover_original(surface)
+        # no step backtracks: each seed is tried at most once per surface
+        assert len(set(tried)) == len(tried)
 
 
 def test_check_tri_lb_on_three_subdivision(census8):
@@ -242,6 +325,50 @@ def _close_disk(disk):
     return conformal_double(disk.surface)
 
 
+def _unbounded_th_center_candidates(surface, programs):
+    """th_center_candidates before the ring bound: it tries every d from 8
+    to the face count whose halving chain ends at the vertex's degree."""
+    out = {}
+    target_cv = corner_vertex_map(surface)
+    for rep in vertex_orbits(surface):
+        if rep.boundary or not 4 <= rep.degree <= 7:
+            continue
+        found = set()
+        for d in range(8, surface.face_count + 1):
+            if th_layer_sizes(d)[-1] != rep.degree:
+                continue
+            if d not in programs:
+                block = build_TH(d)
+                center_corner = vertex_orbits(block.surface)[block.center].corners[0]
+                programs[d] = (block.surface.face_count,
+                               _compile_pattern(block.surface.gluing, center_corner),
+                               corner_vertex_map(block.surface))
+            faces, program, pattern_cv = programs[d]
+            if faces > surface.face_count:
+                continue
+            for c in rep.corners:
+                img = _walk(program, surface.gluing, c)
+                if img is not None and _vertex_injective(program[0], img,
+                                                         pattern_cv, target_cv):
+                    found.add(d)
+                    break
+        out[rep.vertex] = found
+    return out
+
+
+def test_th_center_candidates_equal_the_unbounded_search(census8):
+    programs = {}
+    doubles = [_close_disk(build_TH(d)) for d in range(8, 41)]
+    # bordered too: the rings read only the darts leaving each vertex
+    bordered = [build_TH(d).surface for d in range(8, 30, 3)]
+    found = 0
+    for surface in doubles + bordered + [s for T in (2, 4, 6) for s in census8[T]]:
+        want = _unbounded_th_center_candidates(surface, programs)
+        assert th_center_candidates(surface) == want
+        found += sum(map(len, want.values()))
+    assert found > 2 * len(doubles)
+
+
 # --- reference oracles for the compiled matcher ------------------------------
 
 def _oracle_match_pattern(pattern, target, pattern_dart, target_dart):
@@ -277,25 +404,27 @@ def _oracle_match_pattern(pattern, target, pattern_dart, target_dart):
     return assign
 
 
-_REF3_GLUING, _REF3_SIDE_DARTS = _face_subdivision(3)
-_REF3 = GluedSurface(9, _REF3_GLUING)
+_REF3 = GluedSurface(9, _face_subdivision(3)[0])
 
 
-def _oracle_try_coarsening(surface, seed_dart):
-    """Claim each macro triangle with the oracle matcher against _REF3."""
+def _oracle_try_coarsening(surface, seed_dart, k):
+    """Claim each macro triangle with the oracle matcher against the
+    k-subdivided triangle."""
+    inner, side_darts = _face_subdivision(k)
+    ref = GluedSurface(k * k, inner)
     owner = [-1] * surface.face_count
     macro = []
     first_of_side = {}
 
     def claim(dart):
-        assign = _oracle_match_pattern(_REF3, surface, 0, dart)
+        assign = _oracle_match_pattern(ref, surface, 0, dart)
         if assign is None:
             return None
         mid = len(macro)
         sides = []
         for s in range(3):
             imgs = []
-            for pd in _REF3_SIDE_DARTS[s]:
+            for pd in side_darts[s]:
                 pf, ps = divmod(pd, 3)
                 tf, rot = assign[pf]
                 imgs.append(3 * tf + (ps + rot) % 3)
@@ -319,7 +448,7 @@ def _oracle_try_coarsening(surface, seed_dart):
                 return None
             if rev[0] in first_of_side:
                 mid2, s2 = first_of_side[rev[0]]
-                if macro[mid2][s2] != rev:
+                if macro[mid2][s2] != rev or (mid2, s2) == (head, s):
                     return None
             else:
                 if owner[rev[0] // 3] != -1:
@@ -393,16 +522,17 @@ def _coarsening_cases(census8):
     for T in (2, 4, 6):
         for s in census8[T]:
             sub = subdivide(s, 3)
-            yield sub, range(sub.dart_count)
+            yield sub, range(sub.dart_count), 3
     for seed in range(4):
         closed = random_surface(18, 100 + seed)
-        yield closed, range(closed.dart_count)
+        yield closed, range(closed.dart_count), 3
+        yield closed, range(closed.dart_count), 4
     for s in census8[4] + census8[6][:6]:
         broken = _repair_two_edges(subdivide(s, 3), rng)
-        yield broken, range(broken.dart_count)
+        yield broken, range(broken.dart_count), 3
     for T, seed in ((10, 1), (14, 2)):
         b = bounded_degree_map(random_surface(T, seed)).surface
-        yield b, range(seed, b.dart_count, 97)
+        yield b, range(seed, b.dart_count, 97), 3
     # near misses, 2 to 5 re-paired edge pairs: a macro side may find the
     # side across it by its first dart and differ in its second or third
     bases = [s for T in (2, 4, 6) for s in census8[T]]
@@ -411,17 +541,28 @@ def _coarsening_cases(census8):
         broken = subdivide(s, 3)
         for _ in range(2 + i % 4):
             broken = _repair_two_edges(broken, rng)
-        yield broken, range(broken.dart_count)
+        yield broken, range(broken.dart_count), 3
+    # the 4-coarsening of the inverse, on 4-subdivisions, their near misses
+    # and surfaces whose faces do not count a multiple of 16
+    for i, s in enumerate(bases[:14] + census8[6][::8] + bases[-4:]):
+        sub = subdivide(s, 4)
+        yield sub, range(0, sub.dart_count, 1 + i % 3), 4
+        for _ in range(1 + i % 3):
+            sub = _repair_two_edges(sub, rng)
+        yield sub, range(0, sub.dart_count, 2), 4
+    for s in census8[4]:
+        sub = subdivide(s, 3)
+        yield sub, range(sub.dart_count), 4
 
 
 def test_try_coarsening_matches_oracle(census8):
     outcomes = Counter()
-    for surface, seeds in _coarsening_cases(census8):
+    for surface, seeds, k in _coarsening_cases(census8):
         for seed in seeds:
-            want = _oracle_try_coarsening(surface, seed)
-            assert _try_coarsening(surface, seed) == want
-            outcomes[want is not None] += 1
-    assert outcomes[True] > 0 and outcomes[False] > 0
+            want = _oracle_try_coarsening(surface, seed, k)
+            assert _try_coarsening(surface, seed, k) == want
+            outcomes[k, want is not None] += 1
+    assert all(outcomes[k, ok] > 0 for k in (3, 4) for ok in (False, True))
 
 
 @pytest.mark.parametrize("T, seed", [(10, 7), (14, 8)])

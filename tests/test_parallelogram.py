@@ -205,8 +205,8 @@ def test_trusted_cut_equals_validated_one(genus_two_plus, monkeypatch):
     built = []
     original = GluedSurface._trusted.__func__
 
-    def recording(cls, face_count, gluing, provenance=None):
-        built.append(original(cls, face_count, gluing, provenance))
+    def recording(cls, face_count, gluing):
+        built.append(original(cls, face_count, gluing))
         return built[-1]
 
     monkeypatch.setattr(GluedSurface, "_trusted", classmethod(recording))

@@ -569,7 +569,6 @@ def test_trusted_constructions_equal_validated_ones(drawn, closed, seed):
                 _assert_as_validated(canonical_cover(part).total)
             else:
                 _assert_as_validated(conformal_double(part))
-        assert _assert_as_validated(surface.with_provenance(("tag",))).provenance == ("tag",)
         try:
             text = save_surface(surface)
         except SurfaceError:
@@ -744,9 +743,8 @@ def test_index_is_built_once_per_surface(index_builds):
 @pytest.mark.parametrize("surface", BORDERED[:4] + [random_surface(T, T) for T in (2, 8, 20)],
                          ids=range(7))
 def test_one_component_split_shares_the_index(surface):
-    tagged = GluedSurface(surface.face_count, surface.gluing).with_provenance(("tag",))
-    [part] = connected_components(tagged)
+    fresh = GluedSurface(surface.face_count, surface.gluing)
+    [part] = connected_components(fresh)
     assert part == GluedSurface(surface.face_count, surface.gluing)
-    assert part.provenance is None
-    assert part.index is tagged.index
+    assert part.index is fresh.index
     assert part.index == equilat.surface._build_index(surface.gluing)
