@@ -237,8 +237,21 @@ def _pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _run_task(args) -> list:
-    T, node = args
+def _map_search(task: Callable, Ts, workers: int) -> list:
+    """task((T, node)) over the whole search of each T, largest T first:
+    one call per T from the root when workers <= 1, else one per frontier
+    node in a pool of `workers` processes.  Returns the results in order."""
+    if workers <= 1:
+        return [task((T, _root(T))) for T in reversed(Ts)]
+    # the largest T first, so its long tasks do not start last
+    tasks = [(T, node) for T in reversed(Ts) for node in _frontier(T, _FRONTIER_DEPTH)]
+    with _pool(min(workers, len(tasks))) as pool:
+        return list(pool.map(task, tasks, chunksize=1))
+
+
+def _run_task(task: tuple) -> list:
+    """The gluing of each class below one search node; task is (T, node)."""
+    T, node = task
     out = []
     _search(T, node, lambda gluing, aut: out.append(tuple(gluing)))
     return out
@@ -253,15 +266,8 @@ def enumerate_surfaces(T: int, filter: Optional[Callable] = None,
     """
     if T not in _census_range(T):
         raise SurfaceError("no closed surface has an odd number of faces")
-    found = []
-    if workers <= 1:
-        _search(T, _root(T), lambda gluing, aut: found.append(
-            GluedSurface._trusted(T, tuple(gluing))))
-    else:
-        tasks = [(T, node) for node in _frontier(T, _FRONTIER_DEPTH)]
-        with _pool(min(workers, len(tasks))) as pool:
-            for gluings in pool.map(_run_task, tasks, chunksize=1):
-                found.extend(GluedSurface._trusted(T, g) for g in gluings)
+    found = [GluedSurface._trusted(T, g)
+             for gluings in _map_search(_run_task, (T,), workers) for g in gluings]
     found.sort(key=lambda s: s.gluing)
     if filter is not None:
         found = [s for s in found if filter(s)]
@@ -397,17 +403,9 @@ def count_table(T_max: int, workers: int = 1) -> list:
     arithmetic, or SurfaceError is raised.
     """
     Ts = _census_range(T_max)
-    if workers <= 1:
-        parts = [_count((T, _root(T))) for T in Ts]
-    else:
-        # the largest T first, so its long tasks do not start last
-        tasks = [(T, node) for T in reversed(Ts)
-                 for node in _frontier(T, _FRONTIER_DEPTH)]
-        with _pool(min(workers, len(tasks))) as pool:
-            parts = list(pool.map(_count, tasks, chunksize=1))
     tallies = {T: {} for T in Ts}
     weights = dict.fromkeys(Ts, 0)
-    for T, part, weight in parts:
+    for T, part, weight in _map_search(_count, Ts, workers):
         weights[T] += weight
         for g, b in part.items():
             a = tallies[T].setdefault(g, [0, 0, 0, Counter(), 0])

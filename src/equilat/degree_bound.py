@@ -17,7 +17,7 @@ th_center_candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from operator import eq, itemgetter
 from typing import Optional, Sequence
 
@@ -25,9 +25,7 @@ from equilat.surface import (
     BOUNDARY,
     GluedSurface,
     SurfaceError,
-    VertexReport,
     _face_subdivision,
-    corner_vertex_map,
     euler_and_genus,
     subdivide,
     vertex_orbits,
@@ -89,8 +87,7 @@ def surface_from_faces(faces: Sequence) -> tuple:
 
 
 def _label_to_vertex(surface: GluedSurface, labels) -> dict:
-    cv = corner_vertex_map(surface)
-    return {labels[c]: cv[c] for c in range(surface.dart_count)}
+    return dict(zip(labels, surface.index.corner_vertex))
 
 
 def build_TD(d: int) -> TriangulatedDisk:
@@ -173,16 +170,6 @@ class DegreeBoundResult:
     mu: Optional[float]  # |V_neq6(B)| / (|V_neq6(S)| + g)
 
 
-def _star_fan(surface: GluedSurface, corners) -> tuple:
-    """Fan faces, center sides and outer darts around an interior vertex."""
-    fan_faces, outer = [], []
-    for c in corners:
-        f, s = divmod(c, 3)
-        fan_faces.append(f)
-        outer.append(3 * f + (s + 1) % 3)
-    return fan_faces, outer
-
-
 def _replace_disks(surface: GluedSurface, disks, blocks) -> GluedSurface:
     """Swap each disk of a surface for a block with the same boundary length.
 
@@ -224,27 +211,29 @@ def _replace_disks(surface: GluedSurface, disks, blocks) -> GluedSurface:
 def replace_stars(surface: GluedSurface, centers, blocks) -> GluedSurface:
     """Swap the closed star fan at each center vertex for the given disk block.
 
-    centers are VertexReports of interior vertices; blocks are matching
-    TriangulatedDisk instances with the same boundary length d.  Stars must
-    be embedded and pairwise disjoint.
+    centers are (vertex, corners) pairs of interior vertices, corners in
+    rotation order; blocks are matching TriangulatedDisk instances with
+    boundary length d = len(corners).  Stars must be embedded and pairwise
+    disjoint.
     """
     disks = []
     all_star_faces = set()
-    for rep in centers:
-        fan_faces, outer = _star_fan(surface, rep.corners)
-        fan = set(fan_faces)
-        if len(fan) != len(fan_faces):
-            raise SurfaceError(f"star at vertex {rep.vertex} is not embedded")
+    for v, corners in centers:
+        fan = {c // 3 for c in corners}
+        if len(fan) != len(corners):
+            raise SurfaceError(f"star at vertex {v} is not embedded")
+        # the side after the center's corner runs along the star's boundary;
+        # the fan runs against the block's boundary, so its position j meets
+        # boundary edge -j-1 (mod d)
+        outer = [c - 2 if c % 3 == 2 else c + 1 for c in reversed(corners)]
         for o in outer:
             h = surface.gluing[o]
             if h == BOUNDARY or h // 3 in fan:
-                raise SurfaceError(f"star at vertex {rep.vertex} touches itself")
+                raise SurfaceError(f"star at vertex {v} touches itself")
         if not all_star_faces.isdisjoint(fan):
             raise SurfaceError("stars are not pairwise disjoint")
         all_star_faces |= fan
-        # the fan runs against the block's boundary: its position j meets
-        # boundary edge -j-1 (mod d)
-        disks.append((fan, outer[::-1]))
+        disks.append((fan, outer))
     return _replace_disks(surface, disks, blocks)
 
 
@@ -263,16 +252,12 @@ def bounded_degree_map(surface: GluedSurface) -> DegreeBoundResult:
     # > 7 are those of the surface.  Corner c = 3f + s lies at stage-1
     # corner 48f + _SUB4_CORNER[s]; the map increases, so rotation order
     # and the replacement order (smallest stage-1 corner first) carry over.
-    high = []
-    for v, deg in enumerate(ix.degrees):
-        if deg > 7:
-            corners = tuple([_SUB4_FACE_DARTS * (c // 3) + _SUB4_CORNER[c % 3]
-                             for c in ix.corners[v]])
-            high.append(VertexReport(v, deg, False, corners))
+    centers = tuple((v, deg) for v, deg in enumerate(ix.degrees) if deg > 7)
+    stars = [(v, [_SUB4_FACE_DARTS * (c // 3) + _SUB4_CORNER[c % 3] for c in ix.corners[v]])
+             for v, _ in centers]
     stage1 = subdivide(surface, 4)
-    centers = tuple((r.vertex, r.degree) for r in high)
-    blocks = [build_TH(r.degree) for r in high]
-    stage2 = replace_stars(stage1, high, blocks) if high else stage1
+    blocks = [build_TH(deg) for _, deg in centers]
+    stage2 = replace_stars(stage1, stars, blocks) if stars else stage1
     result = subdivide(stage2, 3)
     out_stats = euler_and_genus(result)
     if out_stats.genus != stats.genus:
@@ -295,7 +280,7 @@ def bounded_degree_map(surface: GluedSurface) -> DegreeBoundResult:
 # --- pattern matching and coarsening ----------------------------------------
 
 # dart d + o1 is the next side of d's face and d + o2 the one after,
-# for (o1, o2) = _NEXT_SIDES[d % 3]
+# for (o1, o2) the entry d % 3
 _NEXT_SIDES = ((1, 2), (1, -1), (-2, -1))
 
 
@@ -333,14 +318,10 @@ def _compile_pattern(gluing, start_dart: int) -> tuple:
     return tuple(darts), tuple(steps), tuple(checks), len(darts) == len(gluing)
 
 
-def _walk(program, gluing, dart: int) -> Optional[list]:
-    """Run a compiled pattern on a target gluing, pattern start -> dart.
-
-    Returns the target image of each program position, or None when an
-    interior pattern gluing meets the target's boundary or another
-    gluing, or when two pattern faces land on one target face.
-    """
-    _, steps, checks, _ = program
+def _images(steps, checks, gluing, dart: int) -> Optional[list]:
+    """The target image of each program position, pattern start -> dart,
+    from a compiled pattern's steps and checks; None when an interior
+    pattern gluing meets the target's boundary or another gluing."""
     o1, o2 = _NEXT_SIDES[dart % 3]
     img = [dart, dart + o1, dart + o2]
     for i in steps:
@@ -352,7 +333,17 @@ def _walk(program, gluing, dart: int) -> Optional[list]:
     for i, j in checks:
         if gluing[img[i]] != img[j]:
             return None
-    if len(set(img)) != len(img):
+    return img
+
+
+def _walk(program, gluing, dart: int) -> Optional[list]:
+    """Run a compiled pattern on a target gluing, pattern start -> dart.
+
+    Returns the images that _images gives, or None where it does, and
+    also when two pattern faces land on one target face.
+    """
+    img = _images(program[1], program[2], gluing, dart)
+    if img is None or len(set(img)) != len(img):
         return None  # distinct faces have disjoint darts
     return img
 
@@ -400,9 +391,11 @@ class LbCertificate:
 def _try_coarsening(surface: GluedSurface, seed_dart: int, k: int):
     """Grow a partition into k^2-face macro triangles from one corner dart.
 
-    The surface must be closed: partners are read with no boundary test.
-    Coarse dart c = 3m+s is side s of macro triangle m; its sub-edges are
-    carried, in order, by small darts sides[kc], ..., sides[kc+k-1].
+    The surface must be closed: a claim tests for the boundary inside its
+    macro triangle, but the partners across macro sides are read with no
+    boundary test.  Coarse dart c = 3m+s is side s of macro triangle m; its
+    sub-edges are carried, in order, by small darts sides[kc], ...,
+    sides[kc+k-1].
     """
     steps, checks, side_images = _COARSENING_PROGRAMS[k]
     gluing = surface.gluing
@@ -412,15 +405,9 @@ def _try_coarsening(surface: GluedSurface, seed_dart: int, k: int):
     coarse = []  # coarse gluing, filled in coarse dart order
 
     def claim(dart) -> bool:
-        o1, o2 = _NEXT_SIDES[dart % 3]
-        img = [dart, dart + o1, dart + o2]
-        for i in steps:
-            x = gluing[img[i]]
-            o1, o2 = _NEXT_SIDES[x % 3]
-            img += (x, x + o1, x + o2)
-        for i, j in checks:
-            if gluing[img[i]] != img[j]:
-                return False
+        img = _images(steps, checks, gluing, dart)
+        if img is None:
+            return False
         # each image triple is a whole face, so this also rejects a face
         # that one claim reaches twice
         mid = len(sides) // (3 * k)
@@ -517,22 +504,36 @@ def separation_check(surface: GluedSurface, cert: LbCertificate) -> SeparationRe
     ix = surface.index
     targets = set(neq6)
     for v in neq6:
-        near = {v}  # vertices within distance 2 of v
-        frontier = [v]
-        for _ in range(2):
-            nxt = []
-            for u in frontier:
-                # a set is built, so the darts leaving u (one per corner)
-                # may come in rotation order
-                for d in ix.corners[u]:
-                    w = ix.corner_vertex[d - 2 if d % 3 == 2 else d + 1]  # head of d
-                    if w not in near:
-                        near.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        if len(near & targets) > 1:  # another non-flat vertex besides v
-            return SeparationReport(False, all_macro)
+        for ring in islice(_rings(ix, v), 2):
+            if not targets.isdisjoint(ring):  # v itself is in no ring
+                return SeparationReport(False, all_macro)
     return SeparationReport(all_macro, all_macro)
+
+
+def _rings(ix, v: int):
+    """BFS rings 1, 2, ... around vertex v of an index, each the new heads
+    of the darts leaving the ring before; ends at the first empty ring.
+
+    The heads of the darts leaving a boundary vertex (one per corner) miss
+    its last neighbor.  On a closed surface the rings are exact; inside an
+    embedded TH_d only its own boundary ring may hold boundary vertices,
+    so its rings come out exact too.
+    """
+    cv, corners = ix.corner_vertex, ix.corners
+    seen = {v}
+    ring = [v]
+    while True:
+        nxt = []
+        for u in ring:
+            for c in corners[u]:
+                w = cv[c - 2 if c % 3 == 2 else c + 1]  # head of dart c
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        if not nxt:
+            return
+        yield nxt
+        ring = nxt
 
 
 # --- finding TH blocks --------------------------------------------------------
@@ -546,26 +547,14 @@ def _th_rings(ix, v: int) -> list:
     through its boundary.  So its rings read th_layer_sizes(d) reversed,
     and d is the size of one of these rings past the first.
     """
-    cv, corners = ix.corner_vertex, ix.corners
-    seen = {v}
-    ring = [v]
     rings = []
-    while True:
-        nxt = []
-        for u in ring:
-            # the heads of the darts leaving u miss a boundary vertex's last
-            # neighbor, but inside an embedded TH_d only its own boundary
-            # ring may hold boundary vertices, so its rings come out exact
-            for c in corners[u]:
-                w = cv[c - 2 if c % 3 == 2 else c + 1]
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        want = ix.degrees[v] if not rings else 2 * len(ring)
-        if len(nxt) not in (want, want + bool(rings)):
-            return rings
-        rings.append(nxt)
-        ring = nxt
+    want = ix.degrees[v]
+    for ring in _rings(ix, v):
+        if len(ring) not in (want, want + bool(rings)):
+            break
+        rings.append(ring)
+        want = 2 * len(ring)
+    return rings
 
 
 def _th_pattern(d: int, cache: dict) -> tuple:

@@ -73,7 +73,7 @@ def build_trajectories(surface: GluedSurface, st: TranslationStructure) -> Traje
     """Fixpoints of the three inductive trajectory rules."""
     high = _check_input(surface)
     heads = _next_side(surface.index.corner_vertex)
-    out_darts = surface.index.out_darts
+    corners = surface.index.corners  # corners[v]: the darts leaving v
     high_set = set(high)
 
     def grow(weight_k: int, stop_at=None):
@@ -82,7 +82,7 @@ def build_trajectories(surface: GluedSurface, st: TranslationStructure) -> Traje
         queue = list(high)
         while queue:
             v = queue.pop()
-            for d in out_darts[v]:
+            for d in corners[v]:
                 if st.weights[d] != weight_k:
                     continue
                 edges.add(frozenset((d, surface.gluing[d])))
@@ -153,9 +153,9 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
                 in_a[d] = True
                 cut[d] = BOUNDARY
                 tails.add(cv[d])
-    out_darts = surface.index.out_darts
+    corners = surface.index.corners  # corners[v]: the darts leaving v
     for v in high:
-        for d in out_darts[v]:
+        for d in corners[v]:
             if weights[d] in (0, 1, 3, 4) and not in_a[d]:
                 raise SurfaceError("axis-direction edge at a degree >6 vertex missed by A")
     # polytope vertices: an A-edge end of weight +-1 and one of weight +-w
@@ -163,7 +163,7 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
     if not set(high) <= vb:
         raise SurfaceError("a degree >6 vertex escaped the polytope vertex set")
     for v in vb:
-        for d in out_darts[v]:
+        for d in corners[v]:
             if weights[d] in (0, 3) and not in_a[d]:
                 raise SurfaceError("horizontal edge at a polytope vertex missed by A")
     # maximal runs
@@ -171,14 +171,14 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
     runs = []
     seen_starts = set()
     for v in sorted(vb):
-        for d in out_darts[v]:
+        for d in sorted(corners[v]):  # the runs and their order depend on it
             if not in_a[d] or d in seen_starts:
                 continue
             darts = [d]
             k = weights[d]
             w = heads[d]
             while w not in vb:
-                nxt = [d2 for d2 in out_darts[w] if in_a[d2] and weights[d2] == k]
+                nxt = [d2 for d2 in corners[w] if in_a[d2] and weights[d2] == k]
                 if len(nxt) != 1:
                     raise SurfaceError("trajectory run has no unique continuation")
                 darts.append(nxt[0])

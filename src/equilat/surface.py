@@ -179,14 +179,13 @@ class SurfaceIndex(_IndexScan):
     order (a boundary vertex's run from the corner whose incoming dart is
     unmatched to the corner whose outgoing dart is unmatched), degrees[v]
     and boundary[v] are its degree and whether it lies on the boundary, and
-    corner_vertex[c] is the vertex at corner c.  components lists the faces
-    of each connected component in ascending order, components ordered by
-    their smallest face.
+    corner_vertex[c] is the vertex at corner c.  Dart d leaves the vertex
+    at corner d, so corners[v] also lists the darts leaving v.  components
+    lists the faces of each connected component in ascending order,
+    components ordered by their smallest face.
 
-    vertices (one VertexReport per vertex) and out_darts (out_darts[v]
-    lists the darts leaving v in ascending order; dart d leaves the vertex
-    at corner d) are built on first read.  ==, hash and pickles see only
-    the scanned fields.
+    vertices (one VertexReport per vertex) is built on first read.  ==,
+    hash and pickles see only the scanned fields.
     """
 
     @cached_property
@@ -194,12 +193,8 @@ class SurfaceIndex(_IndexScan):
         return tuple(map(VertexReport._make, zip(
             range(len(self.degrees)), self.degrees, self.boundary, self.corners)))
 
-    @cached_property
-    def out_darts(self) -> tuple:
-        return tuple(map(tuple, map(sorted, self.corners)))
-
     def __getstate__(self) -> None:
-        return None  # the cached views are rebuilt on demand
+        return None  # the cached view is rebuilt on demand
 
 
 def _build_index(gluing: tuple, components: Optional[tuple] = None) -> SurfaceIndex:

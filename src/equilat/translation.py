@@ -21,7 +21,6 @@ from equilat.surface import (
     SurfaceError,
     _head_corner,
     _next_side,
-    corner_vertex_map,
 )
 
 __all__ = [
@@ -97,7 +96,7 @@ def face_types(surface: GluedSurface, st: TranslationStructure) -> dict:
 
 def edge_path_period(surface: GluedSurface, st: TranslationStructure, path: Sequence) -> Eisenstein:
     """Exact period of an edge walk (sum of directed edge vectors)."""
-    cv = corner_vertex_map(surface)
+    cv = surface.index.corner_vertex
     total = ZERO
     prev_head = None
     for d in path:
@@ -134,16 +133,16 @@ def _potentials(surface: GluedSurface, st: TranslationStructure, base: int) -> t
     pa[v] + pb[v] w (None where the tree does not reach v), and tree[d] is
     True when dart d carries a tree edge from its tail.
     """
-    out_darts, weights = surface.index.out_darts, st.weights
+    corners, weights = surface.index.corners, st.weights
     heads = _next_side(surface.index.corner_vertex)
-    pa = [None] * len(out_darts)
-    pb = [None] * len(out_darts)
+    pa = [None] * len(corners)
+    pb = [None] * len(corners)
     pa[base] = pb[base] = 0
     tree = [False] * surface.dart_count
     queue = [base]
     for v in queue:  # breadth first; queue grows while it is read
         a, b = pa[v], pb[v]
-        for d in out_darts[v]:
+        for d in sorted(corners[v]):  # leaving v; the tree depends on the order
             w = heads[d]
             if pa[w] is None:
                 k = weights[d]

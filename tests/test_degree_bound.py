@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from equilat.surface import (
     GluedSurface,
     SurfaceError,
     _face_subdivision,
+    _next_side,
     canonical_form,
     conformal_double,
     corner_vertex_map,
@@ -23,6 +25,8 @@ from equilat.surface import (
     vertex_orbits,
 )
 from equilat.degree_bound import (
+    LbCertificate,
+    SeparationReport,
     _compile_pattern,
     _try_coarsening,
     _vertex_injective,
@@ -115,9 +119,21 @@ def test_replace_stars_round_trips_td():
     centers = [r for r in vertex_orbits(quad) if r.degree > 7]
     assert centers
     blocks = [build_TH(r.degree) for r in centers]
-    swapped = replace_stars(quad, centers, blocks)
+    swapped = replace_stars(quad, [(r.vertex, r.corners) for r in centers], blocks)
     assert euler_and_genus(swapped).genus == euler_and_genus(quad).genus
     assert max(r.degree for r in vertex_orbits(swapped)) <= 7
+
+
+def test_replace_stars_refusals(census8):
+    # one star of each kind the swap refuses, as (vertex, corners) pairs
+    cases = [(census8[2][0], (0,), "star at vertex 0 is not embedded"),
+             (census8[2][2], (0,), "star at vertex 0 touches itself"),
+             (subdivide(random_surface(8, 0), 2), (12,), "star at vertex 12 touches itself"),
+             (census8[4][10], (0, 1), "stars are not pairwise disjoint")]
+    for surface, vertices, message in cases:
+        stars = [(v, surface.index.corners[v]) for v in vertices]
+        with pytest.raises(SurfaceError, match=f"^{message}$"):
+            replace_stars(surface, stars, [build_TD(len(corners)) for _, corners in stars])
 
 
 def test_bounded_degree_map_postconditions():
@@ -163,17 +179,16 @@ def test_centers_are_the_high_degree_vertices_of_the_four_subdivision(census8, m
         with pytest.raises(_StarsHanded):
             bounded_degree_map(surface)
         want = [r for r in vertex_orbits(subdivide(surface, 4)) if r.degree > 7]
-        assert [(r.degree, r.boundary, r.corners) for r in handed[-1]] == \
-            [(r.degree, r.boundary, r.corners) for r in want]
+        assert [tuple(corners) for _, corners in handed[-1]] == [r.corners for r in want]
         # named by the surface's own vertices, in vertex order
-        assert [(r.vertex, r.degree) for r in handed[-1]] == \
+        assert [(v, len(corners)) for v, corners in handed[-1]] == \
             [(r.vertex, r.degree) for r in vertex_orbits(surface) if r.degree > 7]
     assert len(census) > 1000 and sum(map(len, handed)) > 1500
     # the whole map reports the stars it was handed
     monkeypatch.undo()
     for surface, stars in zip(randoms, handed[len(census):]):
         assert bounded_degree_map(surface).centers == \
-            tuple((r.vertex, r.degree) for r in stars)
+            tuple((v, len(corners)) for v, corners in stars)
 
 
 def _recovers(surface, b):
@@ -232,7 +247,8 @@ def _overlapping_blocks():
     layered disks of two neighbouring stars come to share vertices."""
     sub = subdivide(random_surface(14, 0), 3)
     high = [r for r in vertex_orbits(sub) if r.degree > 7]
-    return subdivide(replace_stars(sub, high, [build_TH(r.degree) for r in high]), 3)
+    return subdivide(replace_stars(sub, [(r.vertex, r.corners) for r in high],
+                                   [build_TH(r.degree) for r in high]), 3)
 
 
 def test_recover_original_refuses_hostile_input(census8, monkeypatch):
@@ -295,6 +311,39 @@ def test_separation_check_on_replacement():
     cert = check_tri_lb(result.surface)
     report = separation_check(result.surface, cert)
     assert report.ok and report.all_macro
+
+
+def _nonflat_at_distance_two(surface):
+    """True when no two vertices of degree != 6 are adjacent, but two
+    share a neighbour."""
+    cv = corner_vertex_map(surface)
+    nbrs = [set() for _ in surface.index.degrees]
+    for d, w in enumerate(_next_side(cv)):
+        nbrs[cv[d]].add(w)
+    neq6 = {v for v, deg in enumerate(surface.index.degrees) if deg != 6}
+    return all(nbrs[v].isdisjoint(neq6 - {v}) for v in neq6) and \
+        any(nbrs[u] & neq6 - {v} for v in neq6 for u in nbrs[v])
+
+
+def test_separation_check_refusals(census8):
+    # a negative certificate is refused
+    small = census8[8][0]
+    with pytest.raises(SurfaceError, match="positive coarsening certificate"):
+        separation_check(small, check_tri_lb(small))
+    # a certificate that leaves a non-flat vertex out of its macro vertices
+    b = bounded_degree_map(random_surface(8, 2)).surface
+    cert = check_tri_lb(b)
+    neq6 = [r.vertex for r in vertex_orbits(b) if r.degree != 6]
+    for v in neq6[:3]:
+        dropped = replace(cert, macro_vertices=cert.macro_vertices - {v})
+        assert separation_check(b, dropped) == SeparationReport(False, False)
+    # two non-flat vertices at distance 2, none adjacent: only the second
+    # ring sees them, and every vertex is a macro vertex
+    surface = next(s for T in (2, 4, 6) for s in census8[T] if _nonflat_at_distance_two(s))
+    reports = vertex_orbits(surface)
+    everything = LbCertificate(True, max(r.degree for r in reports), None,
+                               frozenset(r.vertex for r in reports), None)
+    assert separation_check(surface, everything) == SeparationReport(False, True)
 
 
 def test_match_pattern_finds_embedded_fan():
@@ -572,7 +621,8 @@ def test_certificate_recovers_stage_two(T, seed):
     high = sorted((r for r in vertex_orbits(stage1) if r.degree > 7),
                   key=lambda r: r.vertex)
     assert high
-    stage2 = replace_stars(stage1, high, [build_TH(r.degree) for r in high])
+    stage2 = replace_stars(stage1, [(r.vertex, r.corners) for r in high],
+                           [build_TH(r.degree) for r in high])
     cert = check_tri_lb(bounded_degree_map(surface).surface)
     assert cert.ok
     assert canonical_form(cert.coarse) == canonical_form(stage2)

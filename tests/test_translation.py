@@ -122,14 +122,14 @@ def _period_map_oracle(surface, st, base):
     """A period map built the plain way: a first-in first-out queue of
     vertices and the set of tree edges, each edge the set of its darts."""
     cv = corner_vertex_map(surface)
-    out_darts = surface.index.out_darts
-    potentials = [None] * len(out_darts)
+    corners = surface.index.corners
+    potentials = [None] * len(corners)
     potentials[base] = ZERO
     tree_edges = set()
     queue = [base]
     while queue:
         v = queue.pop(0)
-        for d in out_darts[v]:
+        for d in sorted(corners[v]):  # the darts leaving v
             w = cv[_head_corner(d)]
             if potentials[w] is None:
                 potentials[w] = potentials[v] + st.period(d)
