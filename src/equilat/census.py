@@ -257,20 +257,17 @@ def _run_task(task: tuple) -> list:
     return out
 
 
-def enumerate_surfaces(T: int, filter: Optional[Callable] = None,
-                       workers: int = 1) -> list:
+def enumerate_surfaces(T: int, workers: int = 1) -> list:
     """All closed connected gluings of T triangles up to isomorphism.
 
     Returns one canonically labeled representative per class, in sorted
-    code order, optionally filtered by a predicate on the surface.
+    code order.
     """
     if T not in _census_range(T):
         raise SurfaceError("no closed surface has an odd number of faces")
     found = [GluedSurface._trusted(T, g)
              for gluings in _map_search(_run_task, (T,), workers) for g in gluings]
     found.sort(key=lambda s: s.gluing)
-    if filter is not None:
-        found = [s for s in found if filter(s)]
     return found
 
 

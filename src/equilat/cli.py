@@ -26,7 +26,6 @@ from equilat.translation import (
     build_period_map,
     detect_structures,
     face_types,
-    flat_area,
     is_locally_bounded_tran,
 )
 from equilat.degree_bound import bounded_degree_map, check_tri_lb, separation_check
@@ -109,7 +108,7 @@ def cmd_tran(args) -> int:
     types = face_types(surface, st)
     n_a = sum(1 for t in types.values() if t == "A")
     print(f"face types: {n_a} type A, {len(types) - n_a} type B")
-    print(f"flat area: {flat_area(surface)} * sqrt(3)/4")
+    print(f"flat area: {surface.face_count} * sqrt(3)/4")
     pm = build_period_map(surface, st)
     for d, h in pm.holonomies[:10]:
         print(f"loop holonomy at dart {d}: {h}")

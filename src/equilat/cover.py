@@ -27,7 +27,6 @@ from equilat.surface import (
 from equilat.translation import TranslationStructure, is_locally_bounded_tran
 
 __all__ = [
-    "Holonomy6",
     "CoverComponent",
     "BranchedCover",
     "CoverReport",
@@ -37,48 +36,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Holonomy6:
+def holonomy_cocycle(surface: GluedSurface) -> tuple:
     """Sheet-rotation cocycle for the sixth roots of the face form dz^6.
 
-    transitions[d] is the Z/6 rotation a root branch picks up crossing dart
-    d into the adjacent face: sheet k glues to sheet k + transitions[d].
-    references[f] is the accumulated rotation of face f along a breadth
-    first search from face 0 (a coboundary normalization; the assembled
-    cover does not depend on it).
-    """
-
-    transitions: tuple
-    references: tuple
-
-    def monodromy(self, surface: GluedSurface, vertex: int) -> int:
-        corners = surface.index.corners[vertex]
-        return sum(self.transitions[c] for c in corners) % 6
-
-
-def holonomy_cocycle(surface: GluedSurface) -> Holonomy6:
-    """Per-dart sheet rotations; monodromy around a vertex is deg mod 6.
-
-    Gluing side s of one face to side s' of another composes the two
-    standard charts through a rotation by (2s - 2s' + 3) * pi/3: the pi
-    flip across the shared edge plus the offset between side directions.
+    Entry d is the Z/6 rotation a root branch picks up crossing dart d into
+    the adjacent face: sheet k glues to sheet k + entry d.  Gluing side s
+    of one face to side s' of another composes the two standard charts
+    through a rotation by (2s - 2s' + 3) * pi/3: the pi flip across the
+    shared edge plus the offset between side directions.  The entries
+    over the corners of a vertex sum to its degree mod 6.
     """
     if not surface.is_closed():
         raise SurfaceError("the branched cover is defined for closed surfaces")
     # dart d = 3f + s glued to p = 3f' + s' has 2s' - 2s = 2(p - d) mod 6
-    trans = [(2 * (p - d) + 3) % 6 for d, p in enumerate(surface.gluing)]
-    refs = [None] * surface.face_count
-    refs[0] = 0
-    queue = [0]
-    for f in queue:  # breadth first; queue grows while it is read
-        for s in range(3):
-            d = 3 * f + s
-            f2 = surface.gluing[d] // 3
-            if refs[f2] is None:
-                refs[f2] = (refs[f] + trans[d]) % 6
-                queue.append(f2)
-    refs = tuple(0 if r is None else r for r in refs)
-    return Holonomy6(tuple(trans), refs)
+    return tuple((2 * (p - d) + 3) % 6 for d, p in enumerate(surface.gluing))
 
 
 @dataclass(frozen=True)
@@ -106,7 +77,7 @@ class BranchedCover:
     ramification: tuple  # RamificationRecord per base vertex
 
 
-def _assemble_total(surface: GluedSurface, h: Holonomy6) -> tuple:
+def _assemble_total(surface: GluedSurface, transitions: tuple) -> tuple:
     """The total space and its dart map, by slice passes.
 
     Cover dart 3(6f + k) + s = 18f + 3k + s is side s of sheet k over face
@@ -119,7 +90,7 @@ def _assemble_total(surface: GluedSurface, h: Holonomy6) -> tuple:
     dart_map = [0] * (18 * T)
     for s in range(3):
         sheet0 = [18 * (p // 3) + p % 3 for p in surface.gluing[s::3]]
-        trans = h.transitions[s::3]
+        trans = transitions[s::3]
         for k in range(6):
             shift = [3 * ((k + t) % 6) for t in range(6)]
             gluing[3 * k + s::18] = map(add, sheet0, map(shift.__getitem__, trans))
@@ -142,8 +113,7 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
     """
     if not surface.is_closed() or not surface.is_connected():
         raise SurfaceError("the canonical cover needs a closed connected surface")
-    h = holonomy_cocycle(surface)
-    total, dart_map = _assemble_total(surface, h)
+    total, dart_map = _assemble_total(surface, holonomy_cocycle(surface))
     base_stats = euler_and_genus(surface)
     degrees, cv = surface.index.degrees, surface.index.corner_vertex
     # ramification per base vertex: all preimages share index 6/gcd(6, deg)

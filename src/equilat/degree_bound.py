@@ -48,25 +48,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TriangulatedDisk:
-    """A TD_d or TH_d block with its layer bookkeeping.
-
-    boundary_darts[t] runs from boundary vertex t to t+1 (mod d); layers
-    lists the vertex ids of each cycle, outermost first.
-    """
+    """A TD_d or TH_d block: boundary_darts[t] runs from boundary vertex t
+    to t+1 (mod d)."""
 
     surface: GluedSurface
     d: int
     center: int
     boundary_darts: tuple
-    layers: tuple
 
 
-def surface_from_faces(faces: Sequence) -> tuple:
+def surface_from_faces(faces: Sequence) -> GluedSurface:
     """Build a surface from counterclockwise vertex triples.
 
     Directed edges must be unique; opposite directed edges are glued.
-    Returns (surface, corner_labels) with corner_labels[3f+s] the input
-    vertex label at corner s of face f.
     """
     directed = {}
     for f, tri in enumerate(faces):
@@ -80,53 +74,17 @@ def surface_from_faces(faces: Sequence) -> tuple:
         p = directed.get((v, u))
         if p is not None:
             gluing[d] = p
-    labels = []
-    for tri in faces:
-        labels.extend(tri)
-    return GluedSurface(len(faces), tuple(gluing)), tuple(labels)
+    return GluedSurface(len(faces), tuple(gluing))
 
 
-def _label_to_vertex(surface: GluedSurface, labels) -> dict:
-    return dict(zip(labels, surface.index.corner_vertex))
+def _layered_disk(sizes) -> TriangulatedDisk:
+    """Annuli between cycles of the given sizes, outermost first, closed by
+    a fan around the center.
 
-
-def build_TD(d: int) -> TriangulatedDisk:
-    """Fan of d triangles: one interior vertex of degree d, d boundary edges."""
-    if d < 2:
-        raise SurfaceError("TD_d needs d >= 2; a one-triangle fan degenerates")
-    if d == 2:
-        # the two boundary edges join the same vertex pair, so they must be
-        # glued explicitly rather than matched by endpoint labels
-        surface = GluedSurface(2, (BOUNDARY, 5, 4, BOUNDARY, 2, 1))
-        return TriangulatedDisk(surface, 2, 2, (0, 3), ((0, 1),))
-    center = ("c",)
-    faces = [((0, t), (0, (t + 1) % d), center) for t in range(d)]
-    surface, labels = surface_from_faces(faces)
-    lv = _label_to_vertex(surface, labels)
-    boundary = tuple(3 * t for t in range(d))  # side 0 of face t runs x_t -> x_{t+1}
-    return TriangulatedDisk(
-        surface, d, lv[center], boundary, (tuple(lv[(0, t)] for t in range(d)),)
-    )
-
-
-def th_layer_sizes(d: int) -> list:
-    """Cycle sizes d_0 = d, d_{i+1} = d_i // 2, down to the first value <= 7."""
-    sizes = [d]
-    while sizes[-1] > 7:
-        sizes.append(sizes[-1] // 2)
-    return sizes
-
-
-def build_TH(d: int) -> TriangulatedDisk:
-    """The layered bounded-degree disk with a d-edge boundary.
-
-    Annulus TA_i sits between cycles of sizes D = d_{i-1} and e = d_i.
-    Outer vertex j reaches inner vertex j//2 and, when j is odd, also
-    (j+1)//2 (mod e); the final layer is the fan TD_{d_{k-1}}.
+    Annulus TA_i sits between cycles of sizes D = sizes[i-1] and e =
+    sizes[i].  Outer vertex j reaches inner vertex j//2 and, when j is odd,
+    also (j+1)//2 (mod e); the final layer is the fan TD_{sizes[-1]}.
     """
-    if d < 8:
-        raise SurfaceError("TH_d is defined for d >= 8")
-    sizes = th_layer_sizes(d)
     center = ("c",)
     faces = []
     for i in range(1, len(sizes)):
@@ -139,12 +97,40 @@ def build_TH(d: int) -> TriangulatedDisk:
     last = len(sizes) - 1
     for t in range(sizes[last]):
         faces.append(((last, t), (last, (t + 1) % sizes[last]), center))
-    surface, labels = surface_from_faces(faces)
-    lv = _label_to_vertex(surface, labels)
-    # side 0 of inward face t < d runs (0,t) -> (0,t+1), as in build_TD
-    boundary = tuple(3 * t for t in range(d))
-    layers = tuple(tuple(lv[(i, j)] for j in range(sizes[i])) for i in range(len(sizes)))
-    return TriangulatedDisk(surface, d, lv[center], boundary, layers)
+    surface = surface_from_faces(faces)
+    # side 0 of face t < d runs (0,t) -> (0,t+1), and the last face's
+    # last corner is the center
+    d = sizes[0]
+    return TriangulatedDisk(surface, d, surface.index.corner_vertex[-1],
+                            tuple(range(0, 3 * d, 3)))
+
+
+def build_TD(d: int) -> TriangulatedDisk:
+    """Fan of d triangles: one interior vertex of degree d, d boundary edges."""
+    if d < 2:
+        raise SurfaceError("TD_d needs d >= 2; a one-triangle fan degenerates")
+    if d == 2:
+        # the two boundary edges join the same vertex pair, so they must be
+        # glued explicitly rather than matched by endpoint labels
+        surface = GluedSurface(2, (BOUNDARY, 5, 4, BOUNDARY, 2, 1))
+        return TriangulatedDisk(surface, 2, 2, (0, 3))
+    return _layered_disk([d])
+
+
+def th_layer_sizes(d: int) -> list:
+    """Cycle sizes d_0 = d, d_{i+1} = d_i // 2, down to the first value <= 7."""
+    sizes = [d]
+    while sizes[-1] > 7:
+        sizes.append(sizes[-1] // 2)
+    return sizes
+
+
+def build_TH(d: int) -> TriangulatedDisk:
+    """The layered bounded-degree disk with a d-edge boundary, on the
+    cycle sizes th_layer_sizes(d)."""
+    if d < 8:
+        raise SurfaceError("TH_d is defined for d >= 8")
+    return _layered_disk(th_layer_sizes(d))
 
 
 # --- the replacement map -----------------------------------------------------
@@ -216,9 +202,14 @@ def replace_stars(surface: GluedSurface, centers, blocks) -> GluedSurface:
     boundary length d = len(corners).  Stars must be embedded and pairwise
     disjoint.
     """
+    if len(blocks) != len(centers):
+        raise SurfaceError(f"{len(blocks)} blocks for {len(centers)} stars")
     disks = []
     all_star_faces = set()
-    for v, corners in centers:
+    for (v, corners), block in zip(centers, blocks):
+        if len(block.boundary_darts) != len(corners):
+            raise SurfaceError(f"block of boundary length {len(block.boundary_darts)} "
+                               f"for the degree-{len(corners)} star at vertex {v}")
         fan = {c // 3 for c in corners}
         if len(fan) != len(corners):
             raise SurfaceError(f"star at vertex {v} is not embedded")
@@ -355,7 +346,9 @@ def match_pattern(pattern: GluedSurface, target: GluedSurface,
     Interior gluings of the pattern must map to gluings of the target; the
     pattern's boundary is unconstrained.  Returns {pattern face: (target
     face, rotation)} or None when no consistent injective map exists or
-    the pattern is disconnected.
+    the pattern is disconnected.  No engine code calls it; it stays
+    public because tests and the benchmark's span list (bench/spans.py)
+    name it, until the benchmark is revised.
     """
     program = _compile_pattern(pattern.gluing, pattern_dart)
     darts, _, _, complete = program

@@ -10,11 +10,10 @@ corner vertex of degree > 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import compress
 from operator import ne
 from typing import Optional
 
-from equilat.eisenstein import Eisenstein
 from equilat.surface import (
     BOUNDARY,
     GluedSurface,
@@ -226,12 +225,10 @@ def build_polytope(surface: GluedSurface, st: TranslationStructure,
 @dataclass(frozen=True)
 class FaceGeometry:
     region_id: int
-    closes: bool
     corner_vertices: tuple  # (vertex id, turn in units of pi/3, corner pair)
     length: Optional[int]  # side length in direction +-1
     width: Optional[int]  # side length in direction +-w
     triangle_count: int
-    development: tuple  # partial period sums around the boundary
 
 
 def develop_face(surface: GluedSurface, st: TranslationStructure,
@@ -244,9 +241,7 @@ def develop_face(surface: GluedSurface, st: TranslationStructure,
     cv = surface.index.corner_vertex
     walk = region.boundary_darts
     ks = list(map(st.weights.__getitem__, walk))
-    xs = list(accumulate(map(_ROOT_A.__getitem__, ks)))
-    ys = list(accumulate(map(_ROOT_B.__getitem__, ks)))
-    closes = not walk or (xs[-1], ys[-1]) == (0, 0)
+    closes = (sum(map(_ROOT_A.__getitem__, ks)), sum(map(_ROOT_B.__getitem__, ks))) == (0, 0)
     n = len(walk)
     # positions i where the direction changes between walk[i] and walk[i+1]
     ks_next = ks[1:] + ks[:1]
@@ -275,12 +270,10 @@ def develop_face(surface: GluedSurface, st: TranslationStructure,
     width = diagonal[0] if diagonal else None
     return FaceGeometry(
         region_id=region.region_id,
-        closes=closes,
         corner_vertices=tuple(corners),
         length=length,
         width=width,
         triangle_count=len(region.faces),
-        development=tuple(map(Eisenstein, xs, ys)),
     )
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "edge_path_period",
     "build_period_map",
     "is_locally_bounded_tran",
-    "flat_area",
     "MAX_LB_DEGREE",
 ]
 
@@ -227,8 +226,3 @@ def is_locally_bounded_tran(surface: GluedSurface, st: TranslationStructure) -> 
         periods_ok=periods_ok,
         first_failure=failure,
     )
-
-
-def flat_area(surface: GluedSurface) -> int:
-    """Flat area as an exact multiple of sqrt(3)/4: one unit per triangle."""
-    return surface.face_count

@@ -142,7 +142,7 @@ def test_csv_format(tmp_path):
 def test_filter_predicate():
     from equilat.translation import detect_structures
 
-    tran = enumerate_surfaces(4, filter=lambda s: detect_structures(s) is not None)
+    tran = [s for s in enumerate_surfaces(4) if detect_structures(s) is not None]
     assert len(tran) == 1
     assert euler_and_genus(tran[0]).genus == 1
 

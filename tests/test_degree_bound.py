@@ -136,6 +136,30 @@ def test_replace_stars_refusals(census8):
             replace_stars(surface, stars, [build_TD(len(corners)) for _, corners in stars])
 
 
+def _degree_30_star():
+    surface = subdivide(random_surface(10, 1), 4)
+    v = surface.index.degrees.index(30)
+    return surface, [(v, surface.index.corners[v])]
+
+
+def test_replace_stars_refuses_a_block_count_mismatch():
+    surface, stars = _degree_30_star()
+    with pytest.raises(SurfaceError, match="^0 blocks for 1 stars$"):
+        replace_stars(surface, stars, [])
+    with pytest.raises(SurfaceError, match="^2 blocks for 1 stars$"):
+        replace_stars(surface, stars, [build_TH(30)] * 2)
+
+
+def test_replace_stars_refuses_a_boundary_length_mismatch():
+    surface, stars = _degree_30_star()
+    v = stars[0][0]
+    for block in (build_TH(31), build_TD(29)):
+        with pytest.raises(SurfaceError, match=f"^block of boundary length {block.d} "
+                                               f"for the degree-30 star at vertex {v}$"):
+            replace_stars(surface, stars, [block])
+    assert replace_stars(surface, stars, [build_TH(30)]).is_closed()
+
+
 def test_bounded_degree_map_postconditions():
     for seed in (0, 1, 5):
         surface = random_surface(8, seed)

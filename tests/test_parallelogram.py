@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from equilat.cover import canonical_cover
-from equilat.eisenstein import ZERO
 from equilat.surface import (
     BOUNDARY,
     GluedSurface,
@@ -22,6 +21,15 @@ from equilat.parallelogram import (
     decompose,
     develop_face,
 )
+
+
+# zeta^k = e^{k*pi*i/3} as (a, b) with zeta^k = a + b*w, w = e^{i*pi/3}
+ROOT = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+
+def _period(st, walk):
+    """The period (a, b), for a + b*w, of an edge walk."""
+    return tuple(map(sum, zip(*(ROOT[st.weights[d]] for d in walk))))
 
 
 def test_rejects_genus_one(hex_torus):
@@ -57,7 +65,6 @@ def test_polytope_structure_on_corpus(tran_lb_corpus):
         assert len(B.faces) <= 12 * (g - 1)
         assert sum(geom.triangle_count for geom in geoms) == surface.face_count
         for geom in geoms:
-            assert geom.closes
             assert geom.length >= 3 and geom.width >= 3
             assert 2 * geom.length * geom.width == geom.triangle_count
             turns = [c[1] for c in geom.corner_vertices]
@@ -81,10 +88,10 @@ def test_edges_are_maximal_same_direction_runs(tran_lb_corpus):
 
 
 def test_development_returns_to_origin(tran_lb_corpus):
-    surface, st = tran_lb_corpus[0]
-    B, geoms = decompose(surface, st)
-    for geom in geoms:
-        assert geom.development[-1] == ZERO
+    for surface, st in tran_lb_corpus:
+        B, _ = decompose(surface, st)
+        for region in B.faces:
+            assert _period(st, region.boundary_darts) == (0, 0)
 
 
 def test_decomposition_is_relabeling_invariant(tran_lb_corpus):

@@ -19,7 +19,6 @@ from equilat.translation import (
     detect_structures,
     edge_path_period,
     face_types,
-    flat_area,
     is_locally_bounded_tran,
 )
 
@@ -184,11 +183,6 @@ def test_subdivision_scales_holonomies(hex_torus):
     nonzero = [h for _, h in pm3.holonomies if h != Eisenstein(0, 0)]
     assert nonzero and all(h.in_sublattice(3) for h in nonzero)
     assert {h.norm() for h in nonzero} == {9}
-
-
-def test_flat_area_counts_triangles(hex_torus):
-    assert flat_area(hex_torus) == 2
-    assert flat_area(subdivide(hex_torus, 4)) == 32
 
 
 def test_detect_rejects_open_surface():
