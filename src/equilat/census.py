@@ -21,10 +21,15 @@ search reports |Aut| with each class.
 
 `count_table` classifies each class the moment the search finds it,
 serially or in the workers, and keeps only per-genus tallies, never the
-class list.  Every table ends with a check of the mass identity: the
-classes of each T weigh `connected_mass(T)` by 1/|Aut|, a series
-coefficient that shares no code with the search, or SurfaceError is
-raised.
+class list.  A leaf is classified from one pass over its corner successor
+permutation (`_leaf_scan`), which gives the vertex count, hence the
+genus, the largest degree, whether every degree is 0 mod 6, and the
+corner-to-vertex map for the loop test; a surface is built only for the
+translation and coarsening checks that can pass.  Every table ends with
+two checks that share no code with the search, or SurfaceError is
+raised: the classes of each T weigh `connected_mass(T)` by 1/|Aut|, and
+those of each genus weigh `rooted_gluings(T)` by 3T/|Aut|, the rooted
+counts of the Goulden-Jackson recurrence.
 """
 
 from __future__ import annotations
@@ -38,13 +43,7 @@ from math import factorial, prod
 from operator import eq
 from typing import Callable, Optional
 
-from equilat.surface import (
-    GluedSurface,
-    SurfaceError,
-    _build_index,
-    _next_side,
-    euler_and_genus,
-)
+from equilat.surface import GluedSurface, SurfaceError, _head_corner, _next_side
 from equilat.translation import detect_structures
 from equilat.degree_bound import check_tri_lb
 
@@ -55,6 +54,7 @@ __all__ = [
     "write_table",
     "brute_force_classes",
     "connected_mass",
+    "rooted_gluings",
     "DEFAULT_MAX_T",
 ]
 
@@ -291,6 +291,35 @@ def connected_mass(T: int) -> Fraction:
     return c[T] / 3 ** T
 
 
+def rooted_gluings(T: int) -> dict:
+    """Genus g -> R(T/2, g), the rooted closed connected gluings of T
+    triangles of genus g, from the Goulden-Jackson recurrence.
+
+    R(n, g) counts the gluings of T = 2n triangles with a marked dart,
+    which is the census's sum of 3T/|Aut| over the classes of that genus
+    (Goulden and Jackson, "The KP hierarchy, branched covers, and
+    triangulations", Adv. Math. 219 (2008)):
+
+        (n+1) R(n,g) = 4n(3n-2)(3n-4) R(n-2,g-1) + 4(3n-1) R(n-1,g)
+                       + 4 sum_{i+j=n-2} sum_{h+k=g} (3i+2)(3j+2) R(i,h) R(j,k)
+
+    with i, j >= 0, R(0,0) = 1, R(-1,0) = -1/2 and every other value out
+    of range 0.  The recurrence shares no code with the search.  Only
+    nonzero values are returned.
+    """
+    n_max = T // 2
+    R = {(-1, 0): Fraction(-1, 2), (0, 0): Fraction(1)}
+    for n in range(1, n_max + 1):
+        # genus g needs V = n + 2 - 2g >= 1 vertices
+        for g in range((n + 1) // 2 + 1):
+            split = sum(4 * (3 * i + 2) * (3 * (n - 2 - i) + 2)
+                        * R.get((i, h), 0) * R.get((n - 2 - i, g - h), 0)
+                        for i in range(n - 1) for h in range(g + 1))
+            R[n, g] = Fraction(4 * n * (3 * n - 2) * (3 * n - 4) * R.get((n - 2, g - 1), 0)
+                               + 4 * (3 * n - 1) * R.get((n - 1, g), 0) + split, n + 1)
+    return {g: R[n_max, g] for g in range((n_max + 1) // 2 + 1) if R[n_max, g]}
+
+
 def brute_force_classes(T: int) -> list:
     """Independent oracle: all fixed-point-free involutions on 3T darts,
     connected ones only, deduplicated by exhaustive relabeling search."""
@@ -334,15 +363,14 @@ class CensusRow:
     loop_count: int  # diagnostic: classes with a self-glued face or doubled edge
 
 
-def _has_loop_or_multiedge(surface: GluedSurface) -> bool:
+def _has_loop_or_multiedge(tail) -> bool:
     """True when an edge joins a vertex to itself, or two edges join one pair.
 
-    Dart d runs from tail[d] to head[d], the tail of the next side of its
-    face.  The 3T darts of a closed surface cover each edge twice, once per
-    direction, so its 3T/2 edges join distinct pairs exactly when 3T/2
-    distinct pairs occur.
+    tail is the corner-to-vertex map of a closed surface.  Dart d runs
+    from tail[d] to head[d], the tail of the next side of its face.  The
+    3T darts cover each edge twice, once per direction, so its 3T/2 edges
+    join distinct pairs exactly when 3T/2 distinct pairs occur.
     """
-    tail = surface.index.corner_vertex
     head = _next_side(tail)
     if any(map(eq, tail, head)):
         return True
@@ -350,43 +378,80 @@ def _has_loop_or_multiedge(surface: GluedSurface) -> bool:
     return 2 * len(pairs) != len(tail)
 
 
+def _leaf_scan(gluing, head) -> tuple:
+    """(V, largest degree, every degree = 0 mod 6, corner->vertex list) of
+    a closed gluing, from one pass over its corner successor permutation.
+
+    head[d] is the head corner of dart d, so the next corner around the
+    vertex of corner c is head[gluing[c]].  Vertices are numbered by their
+    smallest corner, as `surface._build_index` numbers them, so the list
+    equals the index's `corner_vertex`.
+    """
+    succ = list(map(head.__getitem__, gluing))
+    corner_vertex = [-1] * len(gluing)
+    v = top = 0
+    flat = True
+    # the iterator reads corner_vertex live, so it sees the vertices
+    # numbered so far
+    for c0, seen in enumerate(corner_vertex):
+        if seen >= 0:
+            continue
+        corner_vertex[c0] = v
+        c = succ[c0]
+        degree = 1
+        while c != c0:
+            corner_vertex[c] = v
+            c = succ[c]
+            degree += 1
+        if degree > top:
+            top = degree
+        if degree % 6:
+            flat = False
+        v += 1
+    return v, top, flat, corner_vertex
+
+
 def _count(task: tuple) -> tuple:
     """Classify each class below one search node the moment it is found.
 
-    task is (T, node).  Returns (T, tallies, weight): tallies maps a genus
-    to [count, tran, lb, Counter of max degrees, loops], and weight is the
-    sum of 3T/|Aut|.  An automorphism other than the identity fixes no
-    dart, so |Aut| divides the 3T darts and the weight is an integer.
+    task is (T, node).  Returns (T, tallies): tallies maps a genus to
+    [count, tran, lb, Counter of max degrees, loops, weight], where weight
+    is the sum of 3T/|Aut|.  An automorphism other than the identity fixes
+    no dart, so |Aut| divides the 3T darts and the weight is an integer.
+
+    A leaf is classified from `_leaf_scan` alone; a `GluedSurface` is
+    built only for the checks that can pass.  A leaf is closed and
+    connected, so V - T/2 = 2 - 2g.  A translation structure makes every
+    cone angle a multiple of 2 pi, so `detect_structures` runs only when
+    every degree is 0 mod 6.  `check_tri_lb` fails at its own first test
+    unless the largest degree is at most 7 and 9 | T, so it runs only
+    then.
     """
     T, node = task
     darts = 3 * T
-    # a census leaf is connected by construction: each dart glues within
-    # the opened faces or opens the next face, so every face is reached
-    # from face 0, and the index needs no face fill
-    one_component = (tuple(range(T)),)
+    head = list(map(_head_corner, range(darts)))
     tallies = {}
-    weight = 0
 
     def collect(gluing, aut):
-        nonlocal weight
         if darts % aut:
             raise SurfaceError(f"T={T}: |Aut|={aut} does not divide the "
                                f"{darts} darts of {gluing}")
-        weight += darts // aut
-        surface = GluedSurface._trusted(T, tuple(gluing))
-        surface.__dict__["index"] = _build_index(surface.gluing, one_component)
-        g = euler_and_genus(surface).genus
+        V, top, flat, corner_vertex = _leaf_scan(gluing, head)
+        g = (2 - V + T // 2) // 2
         b = tallies.get(g)
         if b is None:
-            b = tallies[g] = [0, 0, 0, Counter(), 0]
+            b = tallies[g] = [0, 0, 0, Counter(), 0, 0]
         b[0] += 1
-        b[1] += detect_structures(surface) is not None
-        b[2] += check_tri_lb(surface).ok
-        b[3][max(surface.index.degrees)] += 1
-        b[4] += _has_loop_or_multiedge(surface)
+        if flat:
+            b[1] += detect_structures(GluedSurface._trusted(T, tuple(gluing))) is not None
+        if top <= 7 and T % 9 == 0:
+            b[2] += check_tri_lb(GluedSurface._trusted(T, tuple(gluing))).ok
+        b[3][top] += 1
+        b[4] += _has_loop_or_multiedge(corner_vertex)
+        b[5] += darts // aut
 
     _search(T, node, collect)
-    return T, tallies, weight
+    return T, tallies
 
 
 def count_table(T_max: int, workers: int = 1) -> list:
@@ -394,28 +459,34 @@ def count_table(T_max: int, workers: int = 1) -> list:
 
     Each class is classified where the search finds it, serially or in
     the workers; one pool serves every T, and each worker task returns
-    only its tallies and its weight, which the parent adds up in any
-    order.  No class list is held.  Each T then has to satisfy the mass
-    identity: the classes weigh `connected_mass(T)` by 1/|Aut|, in exact
-    arithmetic, or SurfaceError is raised.
+    only its tallies, which the parent adds up in any order.  No class
+    list is held.  Each T then has to pass two checks in exact
+    arithmetic, or SurfaceError is raised: the classes weigh
+    `connected_mass(T)` by 1/|Aut|, and those of each genus g weigh
+    `rooted_gluings(T)[g]` by 3T/|Aut|.
     """
     Ts = _census_range(T_max)
     tallies = {T: {} for T in Ts}
-    weights = dict.fromkeys(Ts, 0)
-    for T, part, weight in _map_search(_count, Ts, workers):
-        weights[T] += weight
+    for T, part in _map_search(_count, Ts, workers):
         for g, b in part.items():
-            a = tallies[T].setdefault(g, [0, 0, 0, Counter(), 0])
+            a = tallies[T].setdefault(g, [0, 0, 0, Counter(), 0, 0])
             for i, value in enumerate(b):
                 a[i] += value
     rows = []
     for T in Ts:
-        mass = Fraction(weights[T], 3 * T)
+        weights = {g: b[5] for g, b in sorted(tallies[T].items())}
+        mass = Fraction(sum(weights.values()), 3 * T)
         if mass != connected_mass(T):
             raise SurfaceError(f"T={T}: the census classes weigh {mass} by 1/|Aut|, "
                                f"but the mass identity gives {connected_mass(T)}")
+        expected = rooted_gluings(T)
+        if weights != expected:
+            got, want = (", ".join(f"g={g}: {w}" for g, w in by_genus.items())
+                         for by_genus in (weights, expected))
+            raise SurfaceError(f"T={T}: by genus the census classes weigh {got} by "
+                               f"3T/|Aut|, but the recurrence gives {want}")
         for g in sorted(tallies[T]):
-            count, tran, lb, hist, loops = tallies[T][g]
+            count, tran, lb, hist, loops, _ = tallies[T][g]
             rows.append(CensusRow(T, g, count, tran, lb,
                                   tuple(sorted(hist.items())), loops))
     return rows

@@ -49,10 +49,9 @@ __all__ = [
 @dataclass(frozen=True)
 class TriangulatedDisk:
     """A TD_d or TH_d block: boundary_darts[t] runs from boundary vertex t
-    to t+1 (mod d)."""
+    to t+1 (mod d), where d = len(boundary_darts)."""
 
     surface: GluedSurface
-    d: int
     center: int
     boundary_darts: tuple
 
@@ -101,7 +100,7 @@ def _layered_disk(sizes) -> TriangulatedDisk:
     # side 0 of face t < d runs (0,t) -> (0,t+1), and the last face's
     # last corner is the center
     d = sizes[0]
-    return TriangulatedDisk(surface, d, surface.index.corner_vertex[-1],
+    return TriangulatedDisk(surface, surface.index.corner_vertex[-1],
                             tuple(range(0, 3 * d, 3)))
 
 
@@ -113,7 +112,7 @@ def build_TD(d: int) -> TriangulatedDisk:
         # the two boundary edges join the same vertex pair, so they must be
         # glued explicitly rather than matched by endpoint labels
         surface = GluedSurface(2, (BOUNDARY, 5, 4, BOUNDARY, 2, 1))
-        return TriangulatedDisk(surface, 2, 2, (0, 3))
+        return TriangulatedDisk(surface, 2, (0, 3))
     return _layered_disk([d])
 
 

@@ -154,7 +154,8 @@ def test_replace_stars_refuses_a_boundary_length_mismatch():
     surface, stars = _degree_30_star()
     v = stars[0][0]
     for block in (build_TH(31), build_TD(29)):
-        with pytest.raises(SurfaceError, match=f"^block of boundary length {block.d} "
+        d = len(block.boundary_darts)
+        with pytest.raises(SurfaceError, match=f"^block of boundary length {d} "
                                                f"for the degree-30 star at vertex {v}$"):
             replace_stars(surface, stars, [block])
     assert replace_stars(surface, stars, [build_TH(30)]).is_closed()
