@@ -1,6 +1,5 @@
 """Exact combinatorial engine for surfaces glued from unit equilateral triangles."""
 
-from equilat.eisenstein import Eisenstein
 from equilat.surface import (
     GluedSurface,
     load_surface,

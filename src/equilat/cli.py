@@ -110,8 +110,8 @@ def cmd_tran(args) -> int:
     print(f"face types: {n_a} type A, {len(types) - n_a} type B")
     print(f"flat area: {surface.face_count} * sqrt(3)/4")
     pm = build_period_map(surface, st)
-    for d, h in pm.holonomies[:10]:
-        print(f"loop holonomy at dart {d}: {h}")
+    for d, a, b in pm.holonomies[:10]:
+        print(f"loop holonomy at dart {d}: {a}+{b}w")
     rep = is_locally_bounded_tran(surface, st)
     print(f"locally bounded: {rep.ok} (max degree {rep.max_degree})")
     if not rep.ok:

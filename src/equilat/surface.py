@@ -197,9 +197,8 @@ class SurfaceIndex(_IndexScan):
         return None  # the cached view is rebuilt on demand
 
 
-def _build_index(gluing: tuple, components: Optional[tuple] = None) -> SurfaceIndex:
-    """The index of a gluing; a caller that knows the components by
-    construction passes them, and the face fill is skipped."""
+def _build_index(gluing: tuple) -> SurfaceIndex:
+    """The index of a gluing."""
     n = len(gluing)
     # succ[c] is the next corner around the vertex of corner c: the head
     # corner of the partner of c's outgoing dart, or -1 past an unmatched
@@ -242,10 +241,8 @@ def _build_index(gluing: tuple, components: Optional[tuple] = None) -> SurfaceIn
         boundary.append(c == BOUNDARY)
     # a boundary vertex's fan has one more edge end than faces
     degrees = tuple(map(add, map(len, orbits), boundary))
-    if components is None:
-        components = _face_components(gluing)
     return SurfaceIndex(tuple(orbits), degrees, tuple(boundary),
-                        tuple(corner_vertex), components)
+                        tuple(corner_vertex), _face_components(gluing))
 
 
 def _face_components(gluing) -> tuple:

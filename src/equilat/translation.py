@@ -7,19 +7,20 @@ edges at a corner of a face differ by e^{i*pi/3}.  Consequently every face
 carries the pattern (w, w*zeta^2, w*zeta^4) on its three sides, and a
 closed surface admits either no such structure or exactly six (the global
 rotations of one).  Weights are stored as exponents k of zeta^k, 0..5.
+
+Periods lie in Z[w], w = e^{i*pi/3}, and are kept as integer pairs: (a, b)
+stands for a + b*w, and prints as "a+bw".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Optional
 
-from equilat.eisenstein import ROOTS6, ZERO, Eisenstein
 from equilat.surface import (
     GluedSurface,
     SurfaceError,
-    _head_corner,
     _next_side,
 )
 
@@ -28,7 +29,6 @@ __all__ = [
     "PeriodMap",
     "detect_structures",
     "face_types",
-    "edge_path_period",
     "build_period_map",
     "is_locally_bounded_tran",
     "MAX_LB_DEGREE",
@@ -42,9 +42,6 @@ class TranslationStructure:
     """Directional weights per dart: zeta(e, tail of d) = zeta^weights[d]."""
 
     weights: tuple  # exponent in 0..5 per dart
-
-    def period(self, dart: int) -> Eisenstein:
-        return ROOTS6[self.weights[dart]]
 
 
 def detect_structures(surface: GluedSurface) -> Optional[TranslationStructure]:
@@ -93,36 +90,22 @@ def face_types(surface: GluedSurface, st: TranslationStructure) -> dict:
     }
 
 
-def edge_path_period(surface: GluedSurface, st: TranslationStructure, path: Sequence) -> Eisenstein:
-    """Exact period of an edge walk (sum of directed edge vectors)."""
-    cv = surface.index.corner_vertex
-    total = ZERO
-    prev_head = None
-    for d in path:
-        tail = cv[d]
-        if prev_head is not None and tail != prev_head:
-            raise SurfaceError("path is not a connected edge walk")
-        prev_head = cv[_head_corner(d)]
-        total = total + st.period(d)
-    return total
-
-
 @dataclass(frozen=True)
 class PeriodMap:
     """Spanning-tree potentials plus co-tree loop holonomies.
 
-    potential[v] is the period of the tree path from the base vertex to v;
-    holonomies lists (dart, value) for each co-tree edge, the period of the
-    loop base -> tail, edge, head -> base.
+    potentials[v] = (a, b): the tree path from vertex 0 to v has period
+    a + b w; holonomies lists (d, a, b) for each co-tree edge, by its smaller
+    dart d, where a + b w is the period of the loop 0 -> tail, edge, head -> 0.
     """
 
     potentials: tuple
     holonomies: tuple
 
 
-# coordinates of zeta^k = _ROOT_A[k] + _ROOT_B[k] w, k = 0..5
-_ROOT_A = tuple(r.a for r in ROOTS6)
-_ROOT_B = tuple(r.b for r in ROOTS6)
+# zeta^k = _ROOT_A[k] + _ROOT_B[k] w, k = 0..5; w = e^{i*pi/3}, w^2 = w - 1
+_ROOT_A = (1, 0, -1, -1, 0, 1)
+_ROOT_B = (0, 1, 1, 0, -1, -1)
 
 
 def _potentials(surface: GluedSurface, st: TranslationStructure, base: int) -> tuple:
@@ -174,12 +157,9 @@ def _periods(surface: GluedSurface, st: TranslationStructure, base: int) -> tupl
     return pa, pb, loops
 
 
-def build_period_map(surface: GluedSurface, st: TranslationStructure,
-                     base_vertex: Optional[int] = None) -> PeriodMap:
-    base = 0 if base_vertex is None else base_vertex
-    pa, pb, loops = _periods(surface, st, base)
-    return PeriodMap(tuple(map(Eisenstein, pa, pb)),
-                     tuple((d, Eisenstein(a, b)) for d, a, b in loops))
+def build_period_map(surface: GluedSurface, st: TranslationStructure) -> PeriodMap:
+    pa, pb, loops = _periods(surface, st, 0)
+    return PeriodMap(tuple(zip(pa, pb)), tuple(loops))
 
 
 @dataclass(frozen=True)
@@ -207,14 +187,13 @@ def is_locally_bounded_tran(surface: GluedSurface, st: TranslationStructure) -> 
     failure = None
     for d, a, b in loops:
         if a % 3 or b % 3:
-            failure = f"loop holonomy {Eisenstein(a, b)} at dart {d} outside 3Z+3wZ"
+            failure = f"loop holonomy {a}+{b}w at dart {d} outside 3Z+3wZ"
             break
     if failure is None:
         # potentials are periods from base
         for v in high:
             if pa[v] % 3 or pb[v] % 3:
-                failure = (f"relative period {Eisenstein(pa[v], pb[v])} to vertex {v} "
-                           "outside 3Z+3wZ")
+                failure = f"relative period {pa[v]}+{pb[v]}w to vertex {v} outside 3Z+3wZ"
                 break
     periods_ok = failure is None
     if not degree_ok and failure is None:

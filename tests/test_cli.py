@@ -64,6 +64,23 @@ def test_subdivide_then_tran(capsys, tmp_path, torus_path):
     assert code == 0 and "structures: 6" in out and "locally bounded: True" in out
 
 
+def test_tran_report_on_the_two_face_torus(capsys, torus_path):
+    # periods print as a+bw, negative coordinates included
+    code, out = run(capsys, "tran", torus_path)
+    assert code == 0
+    assert out.splitlines() == [
+        "structures: 6",
+        "face types: 1 type A, 1 type B",
+        "flat area: 2 * sqrt(3)/4",
+        "loop holonomy at dart 0: 1+0w",
+        "loop holonomy at dart 1: -1+1w",
+        "loop holonomy at dart 2: 0+-1w",
+        "locally bounded: False (max degree 6)",
+        "  first failure: loop holonomy 1+0w at dart 0 outside 3Z+3wZ",
+        "RESULT: pass 6 structures, locally bounded: False",
+    ]
+
+
 def test_random_round_trip(capsys, tmp_path):
     path = tmp_path / "r.tsf"
     code, out = run(capsys, "random", "-T", "8", "--seed", "3", "-o", str(path))

@@ -1,7 +1,8 @@
+import cmath
+
 import pytest
 
 from equilat.cover import canonical_cover
-from equilat.eisenstein import ZERO, Eisenstein
 from equilat.surface import (
     BOUNDARY,
     GluedSurface,
@@ -15,15 +16,31 @@ from equilat.translation import (
     MAX_LB_DEGREE,
     PeriodMap,
     TranslationStructure,
+    _ROOT_A,
+    _ROOT_B,
+    _periods,
     build_period_map,
     detect_structures,
-    edge_path_period,
     face_types,
     is_locally_bounded_tran,
 )
 
-SIXTH_ROOTS = {Eisenstein(1, 0), Eisenstein(0, 1), Eisenstein(-1, 1),
-               Eisenstein(-1, 0), Eisenstein(0, -1), Eisenstein(1, -1)}
+# zeta^k = e^{k*pi*i/3} as (a, b) with zeta^k = a + b*w, w = e^{i*pi/3}
+TABLE = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+
+def _add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def test_sixth_roots_table():
+    # the engine's table and this file's both hold a + b*w = e^{k*pi*i/3}
+    w = cmath.exp(1j * cmath.pi / 3)
+    for k, (a, b) in enumerate(TABLE):
+        root = cmath.exp(1j * cmath.pi * k / 3)
+        assert abs(a + b * w - root) < 1e-9
+        assert abs(_ROOT_A[k] + _ROOT_B[k] * w - root) < 1e-9
+    assert len(TABLE) == len(_ROOT_A) == len(_ROOT_B) == 6
 
 
 def _rotations(st):
@@ -95,26 +112,36 @@ def test_face_types_bipartition(hex_torus):
 
 def test_single_edge_periods_are_sixth_roots(hex_torus):
     st_ = detect_structures(hex_torus)
-    for d in range(hex_torus.dart_count):
-        assert st_.period(d) in SIXTH_ROOTS
-        assert st_.period(d) + st_.period(hex_torus.gluing[d]) == Eisenstein(0, 0)
+    for d, p in enumerate(hex_torus.gluing):
+        # an exponent outside 0..5 would index TABLE wrongly or not at all
+        assert st_.weights[d] in range(6)
+        assert _add(TABLE[st_.weights[d]], TABLE[st_.weights[p]]) == (0, 0)
 
 
-def test_edge_path_period_closes_around_face(hex_torus):
-    st_ = detect_structures(hex_torus)
-    assert edge_path_period(hex_torus, st_, (0, 1, 2)) == Eisenstein(0, 0)
+def test_edge_path_period_closes_around_face(hex_torus, census8):
+    # the walk along a face's three sides is closed, so its period is 0
+    flat = 0
+    for surface in [hex_torus, *(s for classes in census8.values() for s in classes)]:
+        st_ = detect_structures(surface)
+        if st_ is None:
+            continue
+        flat += 1
+        for f in range(surface.face_count):
+            a, b = zip(*(TABLE[k] for k in st_.weights[3 * f:3 * f + 3]))
+            assert (sum(a), sum(b)) == (0, 0)
+    assert flat > 1
 
 
 def test_loop_periods_in_unit_lattice(census8):
-    # every co-tree loop holonomy is an honest Eisenstein integer
+    # every co-tree loop holonomy is a dart and an integer pair
     for T, classes in census8.items():
         for surface in classes:
             st_ = detect_structures(surface)
             if st_ is None:
                 continue
             pm = build_period_map(surface, st_)
-            for _, h in pm.holonomies:
-                assert isinstance(h, Eisenstein)
+            for h in pm.holonomies:
+                assert len(h) == 3 and all(type(x) is int for x in h)
 
 
 def _period_map_oracle(surface, st, base):
@@ -123,7 +150,7 @@ def _period_map_oracle(surface, st, base):
     cv = corner_vertex_map(surface)
     corners = surface.index.corners
     potentials = [None] * len(corners)
-    potentials[base] = ZERO
+    potentials[base] = (0, 0)
     tree_edges = set()
     queue = [base]
     while queue:
@@ -131,7 +158,7 @@ def _period_map_oracle(surface, st, base):
         for d in sorted(corners[v]):  # the darts leaving v
             w = cv[_head_corner(d)]
             if potentials[w] is None:
-                potentials[w] = potentials[v] + st.period(d)
+                potentials[w] = _add(potentials[v], TABLE[st.weights[d]])
                 tree_edges.add(frozenset((d, surface.gluing[d])))
                 queue.append(w)
     holonomies = []
@@ -139,7 +166,9 @@ def _period_map_oracle(surface, st, base):
         p = surface.gluing[d]
         if p != BOUNDARY and d < p and frozenset((d, p)) not in tree_edges:
             tail, head = cv[d], cv[_head_corner(d)]
-            holonomies.append((d, potentials[tail] + st.period(d) - potentials[head]))
+            (ta, tb), (ha, hb) = potentials[tail], potentials[head]
+            ra, rb = TABLE[st.weights[d]]
+            holonomies.append((d, ta + ra - ha, tb + rb - hb))
     return PeriodMap(tuple(potentials), tuple(holonomies))
 
 
@@ -154,8 +183,11 @@ def test_period_map_matches_oracle(tran_lb_corpus):
     for surface, st_ in [*tran_lb_corpus, *_cover_components((1, 2, 3))]:
         V = len(surface.index.vertices)
         high = [r.vertex for r in surface.index.vertices if r.degree > 6]
+        assert build_period_map(surface, st_) == _period_map_oracle(surface, st_, 0)
+        # is_locally_bounded_tran and the polytope check run from other bases
         for base in sorted({0, V // 2, V - 1, *high[:2]}):
-            assert build_period_map(surface, st_, base) == \
+            pa, pb, loops = _periods(surface, st_, base)
+            assert PeriodMap(tuple(zip(pa, pb)), tuple(loops)) == \
                 _period_map_oracle(surface, st_, base)
             checked += 1
     assert checked > 3 * len(tran_lb_corpus)
@@ -180,9 +212,9 @@ def test_subdivision_scales_holonomies(hex_torus):
     # all holonomies land in 3Z + 3wZ and the nonzero ones have norm 9
     sub = subdivide(hex_torus, 3)
     pm3 = build_period_map(sub, detect_structures(sub))
-    nonzero = [h for _, h in pm3.holonomies if h != Eisenstein(0, 0)]
-    assert nonzero and all(h.in_sublattice(3) for h in nonzero)
-    assert {h.norm() for h in nonzero} == {9}
+    nonzero = [(a, b) for _, a, b in pm3.holonomies if (a, b) != (0, 0)]
+    assert nonzero and all(a % 3 == b % 3 == 0 for a, b in nonzero)
+    assert {a * a + a * b + b * b for a, b in nonzero} == {9}
 
 
 def test_detect_rejects_open_surface():
