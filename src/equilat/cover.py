@@ -5,13 +5,14 @@ global 6-differential (dz^6 per face).  Its sixth roots live on a degree-6
 branched cover assembled from six sheets per face: sheet k over a face
 carries zeta^(-k) dz, which gives each component of the cover its
 translation structure.  Branch points sit over vertices whose degree is
-not a multiple of 6.
+not a multiple of 6.  The cover keeps only its total space and its
+components: total face 6f+k is sheet k over base face f, and the rest follows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from math import gcd, lcm
 from operator import add
 
@@ -56,54 +57,48 @@ def holonomy_cocycle(surface: GluedSurface) -> tuple:
 class CoverComponent:
     surface: GluedSurface
     degree: int  # covering degree onto the base
-    sheets: frozenset  # (base face, sheet) pairs making up the component
+    faces: tuple  # its total-space faces, ascending: face i is faces[i]
     structure: TranslationStructure
     genus: int
 
 
 @dataclass(frozen=True)
-class RamificationRecord:
-    vertex: int
-    base_degree: int
-    index: int  # ramification index e(x) shared by all preimages
-    preimage_count: int
-
-
-@dataclass(frozen=True)
 class BranchedCover:
-    total: GluedSurface  # 6T faces, face 6f+k = sheet k over base face f
-    dart_map: tuple  # cover dart -> base dart
-    components: tuple  # CoverComponent, by smallest sheet; all isomorphic
-    ramification: tuple  # RamificationRecord per base vertex
+    """The total space and its components, listed by smallest face.
+
+    Total face 6f + k is sheet k over base face f, so cover dart 18f + 3k + s
+    lies over base dart 3f + s: the projection is 3 * (cd // 18) + cd % 3.
+    Over a base vertex of degree deg lie gcd(6, deg) cover vertices, each
+    of ramification index 6 / gcd(6, deg).
+    """
+
+    total: GluedSurface  # 6T faces
+    components: tuple  # CoverComponent; all isomorphic
 
 
-def _assemble_total(surface: GluedSurface, transitions: tuple) -> tuple:
-    """The total space and its dart map, by slice passes.
+def _assemble_total(surface: GluedSurface, transitions: tuple) -> GluedSurface:
+    """The total space, by slice passes.
 
-    Cover dart 3(6f + k) + s = 18f + 3k + s is side s of sheet k over face
-    f and lies over base dart 3f + s.  Over d glued to p, sheet k meets
-    sheet k + transitions[d] of p's face: cover dart 18(p // 3) + p % 3
-    plus 3((k + transitions[d]) % 6).
+    Over base dart d glued to p, sheet k meets sheet k + transitions[d] of
+    p's face: cover dart 18(p // 3) + p % 3 plus 3((k + transitions[d]) % 6).
     """
     T = surface.face_count
     gluing = [0] * (18 * T)
-    dart_map = [0] * (18 * T)
     for s in range(3):
         sheet0 = [18 * (p // 3) + p % 3 for p in surface.gluing[s::3]]
         trans = transitions[s::3]
         for k in range(6):
             shift = [3 * ((k + t) % 6) for t in range(6)]
             gluing[3 * k + s::18] = map(add, sheet0, map(shift.__getitem__, trans))
-            dart_map[3 * k + s::18] = range(s, 3 * T, 3)
     # transitions[d] + transitions[p] = 0 mod 6, so sheet k of d and sheet
     # k + transitions[d] of p glue back to each other: an involution
-    return GluedSurface._trusted(6 * T, tuple(gluing)), tuple(dart_map)
+    return GluedSurface._trusted(6 * T, tuple(gluing))
 
 
 def canonical_cover(surface: GluedSurface) -> BranchedCover:
     """Assemble the six sheets and split into translation components.
 
-    Components come by smallest sheet: the sheet shift k -> k + 1 is a deck
+    Components come by smallest face: the sheet shift k -> k + 1 is a deck
     transformation permuting them transitively, so all are isomorphic.  The
     translation structure of each is read off its sheets, with no search.
 
@@ -113,15 +108,10 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
     """
     if not surface.is_closed() or not surface.is_connected():
         raise SurfaceError("the canonical cover needs a closed connected surface")
-    total, dart_map = _assemble_total(surface, holonomy_cocycle(surface))
+    total = _assemble_total(surface, holonomy_cocycle(surface))
     base_stats = euler_and_genus(surface)
     degrees, cv = surface.index.degrees, surface.index.corner_vertex
-    # ramification per base vertex: all preimages share index 6/gcd(6, deg)
-    ram = []
-    for v, deg in enumerate(degrees):
-        e = 6 // gcd(6, deg)
-        ram.append(RamificationRecord(v, deg, e, 6 // e))
-    # split into components, keeping the sheet content of each
+    # split into components, keeping the total-space faces of each
     m = sum(1 for deg in degrees if deg != 6)
     n_branch = sum(1 for deg in degrees if deg % 6 != 0)
     # dart 3i+s weighs zeta^(phase + 2s) as in detect_structures; crossing
@@ -136,11 +126,10 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
         k0 = faces[0] % 6
         structure = TranslationStructure(tuple(chain.from_iterable(
             triples[(k0 - f) % 6] for f in faces)))
-        # component face i is total face faces[i]
         crit = 0
         for deg, corners in zip(sub.index.degrees, sub.index.corners):
             c = corners[0]
-            base_deg = degrees[cv[dart_map[3 * faces[c // 3] + c % 3]]]
+            base_deg = degrees[cv[3 * (faces[c // 3] // 6) + c % 3]]
             if deg != lcm(base_deg, 6):
                 raise SurfaceError("cover vertex degree is not lcm(deg, 6)")
             if deg // base_deg > 1:
@@ -150,16 +139,14 @@ def canonical_cover(surface: GluedSurface) -> BranchedCover:
             raise SurfaceError("cover component genus exceeds 6g + 5m")
         if 2 * stats.genus - 2 + crit != degree * (2 * base_stats.genus - 2) + degree * n_branch:
             raise SurfaceError("Riemann-Hurwitz identity fails on a component")
-        sheets = frozenset(map(divmod, faces, repeat(6)))
-        parts.append(CoverComponent(sub, degree, sheets, structure, stats.genus))
+        parts.append(CoverComponent(sub, degree, faces, structure, stats.genus))
     if sum(p.degree for p in parts) != 6 or len(parts) > 6:
         raise SurfaceError("component degrees do not sum to a degree-6 cover")
-    return BranchedCover(total, dart_map, tuple(parts), tuple(ram))
+    return BranchedCover(total, tuple(parts))
 
 
 @dataclass(frozen=True)
 class CoverReport:
-    ok: bool
     component_count: int
     component_degrees: tuple
     branch_points: int
@@ -170,16 +157,16 @@ class CoverReport:
 def verify_cover(surface: GluedSurface, cover: BranchedCover) -> CoverReport:
     """Re-derive the cover invariants from scratch and cross-check.
 
-    Checks the projection against both gluings, that the component sheets
-    partition the 6T total faces and that each component is the total space
-    restricted to its sheets, and the ramification table against the
-    base: each vertex's degree, and the degree and number of its preimages.
-    Recomputes genera by Euler characteristic, branch counts from base
+    Checks that the projection 3 * (cd // 18) + cd % 3 commutes with both
+    gluings, that the component faces partition the 6T total faces and
+    that each component is the total space restricted to its faces, and
+    each fibre against the base degrees: every cover vertex over v has
+    degree (6 / gcd(6, deg v)) * deg v, and gcd(6, deg v) of them lie over
+    v.  Recomputes genera by Euler characteristic, branch counts from base
     degrees and the Riemann-Hurwitz identity per component, checks each
     stored translation structure dart by dart, and decides by check_tri_lb
     whether the base is locally bounded, in which case every component
-    must be too.  Any mismatch with the stored data raises with the first
-    violated identity.
+    must be too.  Any mismatch raises with the first violated identity.
     """
 
     def fail(msg):
@@ -191,46 +178,36 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover) -> CoverReport:
     n_branch = sum(1 for deg in degrees if deg % 6 != 0)
     if cover.total.face_count != 6 * T:
         fail("total space does not have 6T faces")
-    dart_map, tg = cover.dart_map, cover.total.gluing
-    if len(dart_map) != cover.total.dart_count:
-        fail("dart map does not have one entry per total-space dart")
-    if list(map(dart_map.__getitem__, tg)) != list(map(surface.gluing.__getitem__, dart_map)):
-        cd = next(cd for cd, d in enumerate(dart_map) if dart_map[tg[cd]] != surface.gluing[d])
+    tg = cover.total.gluing
+    proj = [3 * (cd // 18) + cd % 3 for cd in range(18 * T)]
+    if list(map(proj.__getitem__, tg)) != list(map(surface.gluing.__getitem__, proj)):
+        cd = next(cd for cd, d in enumerate(proj) if proj[tg[cd]] != surface.gluing[d])
         fail(f"projection does not commute with gluing at cover dart {cd}")
-    if len(cover.ramification) != len(degrees):
-        fail("ramification table does not have one record per base vertex")
-    for v, (deg, rec) in enumerate(zip(degrees, cover.ramification)):
-        if rec.vertex != v or rec.base_degree != deg:
-            fail(f"ramification record {v} does not match its base vertex")
-        if rec.index != 6 // gcd(6, rec.base_degree):
-            fail(f"stored ramification index wrong at vertex {rec.vertex}")
-        if rec.index * rec.preimage_count != 6:
-            fail(f"fiber over vertex {rec.vertex} does not sum to 6")
     if len(cover.components) > 6:
         fail("more than six components")
     if sum(c.degree for c in cover.components) != 6:
         fail("component degrees do not sum to 6")
-    # the total-space faces of each component, in ascending order
-    backs = [sorted(6 * f + k if 0 <= k < 6 else -1 for f, k in c.sheets)
-             for c in cover.components]
-    if sorted(chain.from_iterable(backs)) != list(range(6 * T)):
+    if sorted(chain.from_iterable(c.faces for c in cover.components)) != list(range(6 * T)):
         fail("component sheets do not partition the 6T total faces")
     locally_bounded = check_tri_lb(surface).ok
     preimages = [0] * len(degrees)
     rh = []
-    for i, (comp, back) in enumerate(zip(cover.components, backs)):
-        if len(comp.sheets) != comp.surface.face_count:
+    for i, comp in enumerate(cover.components):
+        faces = comp.faces
+        if len(faces) != comp.surface.face_count:
             fail(f"component {i} has not one sheet per face")
+        if list(faces) != sorted(faces):
+            fail(f"component {i} faces are not in ascending order")
         if comp.surface.face_count != comp.degree * T:
             fail(f"component {i} does not have degree x T faces")
-        # the component is the total space on its sheets: component face j
-        # is the j-th smallest of its total-space faces, and each component
-        # dart is glued as its total-space dart is
+        # the component is the total space on its faces: component face j
+        # is total face faces[j], and each component dart is glued as its
+        # total-space dart is
         g = comp.surface.gluing
-        if len(back) == len(tg) // 3:
+        if len(faces) == len(tg) // 3:
             glued_alike = g == tg  # all sheets: the renumbering is the identity
         else:
-            glued_alike = all(tg[3 * back[d // 3] + d % 3] == 3 * back[p // 3] + p % 3
+            glued_alike = all(tg[3 * faces[d // 3] + d % 3] == 3 * faces[p // 3] + p % 3
                               for d, p in enumerate(g))
         if BOUNDARY in g or not glued_alike:
             fail(f"component {i} is not the total space on its sheets")
@@ -248,9 +225,9 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover) -> CoverReport:
         cix = comp.surface.index
         for deg, corners in zip(cix.degrees, cix.corners):
             c = corners[0]
-            v = cv[dart_map[3 * back[c // 3] + c % 3]]
+            v = cv[proj[3 * faces[c // 3] + c % 3]]
             base_deg = degrees[v]
-            if deg != cover.ramification[v].index * base_deg:
+            if deg != 6 // gcd(6, base_deg) * base_deg:
                 fail(f"component {i} vertex degree is not index x base degree")
             preimages[v] += 1
             if deg // base_deg > 1:
@@ -265,11 +242,10 @@ def verify_cover(surface: GluedSurface, cover: BranchedCover) -> CoverReport:
             if not rep.ok:
                 fail(f"component {i} of a locally bounded base is not locally bounded: "
                      f"{rep.first_failure}")
-    for rec, count in zip(cover.ramification, preimages):
-        if count != rec.preimage_count:
-            fail(f"stored preimage count wrong at vertex {rec.vertex}")
+    for v, (deg, count) in enumerate(zip(degrees, preimages)):
+        if count != gcd(6, deg):
+            fail(f"{count} cover vertices over vertex {v}, not gcd(6, {deg})")
     return CoverReport(
-        ok=True,
         component_count=len(cover.components),
         component_degrees=tuple(c.degree for c in cover.components),
         branch_points=n_branch,

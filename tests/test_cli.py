@@ -115,6 +115,37 @@ def test_cover_command(capsys, tmp_path, torus_path):
     assert len(comps) == 6 and "degree 1" in out
 
 
+def test_cover_branch_table_matches_the_fibres(capsys, tmp_path, pillowcase):
+    from collections import Counter
+
+    from equilat.cover import canonical_cover
+    from equilat.surface import corner_vertex_map, random_surface, vertex_orbits
+
+    for j, surface in enumerate([random_surface(8, s) for s in range(4)] + [pillowcase]):
+        path = tmp_path / f"base{j}.tsf"
+        path.write_text(save_surface(surface))
+        code, out = run(capsys, "cover", str(path), "-o", str(tmp_path / f"cover{j}"))
+        assert code == 0
+        manifest = (tmp_path / f"cover{j}" / "manifest.txt").read_text().splitlines()
+        start = manifest.index("branch table (vertex, base degree, "
+                               "ramification index, preimages):")
+        printed = [tuple(map(int, line.split())) for line in manifest[start + 1:-1]]
+        # each cover vertex lies over the base vertex of its first corner:
+        # cover dart 18f + 3k + s lies over base dart 3f + s
+        degrees = [r.degree for r in vertex_orbits(surface)]
+        cv = corner_vertex_map(surface)
+        over = Counter()
+        ratio = {}
+        for r in vertex_orbits(canonical_cover(surface).total):
+            v = cv[3 * (r.corners[0] // 18) + r.corners[0] % 3]
+            over[v] += 1
+            ratio[v] = r.degree // degrees[v]
+        counted = [(v, degrees[v], ratio[v], over[v]) for v in sorted(over) if ratio[v] > 1]
+        assert printed == counted
+        assert manifest[-1].startswith("Riemann-Hurwitz checks: ")
+        assert counted  # every base here has a branch point
+
+
 def test_census_command(capsys, tmp_path):
     out_csv = tmp_path / "table.csv"
     code, out = run(capsys, "census", "--tmax", "4", "--out", str(out_csv))

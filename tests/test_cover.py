@@ -91,7 +91,7 @@ def test_components_share_one_canonical_form(census8, pillowcase):
         if len(cover.components) == 1:
             continue
         several += 1
-        first = [min(c.sheets) for c in cover.components]
+        first = [c.faces[0] for c in cover.components]
         assert first == sorted(first)
         forms = {canonical_form(c.surface) for c in cover.components}
         assert len(forms) == 1
@@ -122,11 +122,10 @@ def test_ramification_indices():
             continue
         cover = canonical_cover(surface)
         v = next(r.vertex for r in reps if r.degree == 8)
-        rec = cover.ramification[v]
-        assert rec.index == 3 and rec.preimage_count == 2
         cv = corner_vertex_map(surface)
+        # cover dart 18f + 3k + s lies over base dart 3f + s
         fiber = [r.degree for r in vertex_orbits(cover.total)
-                 if cv[cover.dart_map[r.corners[0]]] == v]
+                 if cv[3 * (r.corners[0] // 18) + r.corners[0] % 3] == v]
         assert sorted(fiber) == [24, 24]
         return
     pytest.skip("no degree-8 vertex found in the sample")
@@ -135,7 +134,6 @@ def test_ramification_indices():
 def test_verify_cover_passes_on_corpus(census8):
     for surface in census8[6]:
         report = verify_cover(surface, canonical_cover(surface))
-        assert report.ok
         assert sum(report.component_degrees) == 6
         assert report.component_count <= 6
 
@@ -153,63 +151,80 @@ def test_verify_cover_checks_the_stored_structure():
         verify_cover(surface, cover)
 
 
-def test_verify_cover_rejects_an_empty_ramification_table():
-    surface = random_surface(8, 3)
-    cover = canonical_cover(surface)
-    with pytest.raises(SurfaceError, match="one record per base vertex"):
-        verify_cover(surface, replace(cover, ramification=()))
-
-
-def test_verify_cover_checks_each_ramification_record_against_the_base():
-    # a self-consistent record for a flat vertex, stored for a degree-23 one
-    surface = random_surface(8, 3)
-    cover = canonical_cover(surface)
-    assert vertex_orbits(surface)[0].degree == 23
-    flat = replace(cover.ramification[0], base_degree=6, index=1, preimage_count=6)
-    cover = replace(cover, ramification=(flat,) + cover.ramification[1:])
-    with pytest.raises(SurfaceError, match="record 0 does not match its base vertex"):
-        verify_cover(surface, cover)
-
-
-def test_verify_cover_checks_the_dart_map_length():
-    surface = random_surface(8, 3)
-    cover = canonical_cover(surface)
-    with pytest.raises(SurfaceError, match="one entry per total-space dart"):
-        verify_cover(surface, replace(cover, dart_map=cover.dart_map[:-1]))
-
-
 def test_verify_cover_names_the_first_dart_where_the_projection_fails():
+    # re-pairing two glued pairs over different base darts keeps the total
+    # gluing an involution, but the projection no longer commutes with it
     surface = random_surface(8, 3)
     cover = canonical_cover(surface)
     tg = cover.total.gluing
-    for c in (0, 17, len(tg) - 1):
-        dart_map = list(cover.dart_map)
-        dart_map[c] = (dart_map[c] + 1) % surface.dart_count
-        first = min(cd for cd, d in enumerate(dart_map)
-                    if dart_map[tg[cd]] != surface.gluing[d])
+
+    def proj(cd):
+        return 3 * (cd // 18) + cd % 3
+
+    for a, b in ((0, 17), (17, len(tg) - 1), (40, 100)):
+        assert proj(a) != proj(b) and b != tg[a]
+        gluing = list(tg)
+        gluing[a], gluing[tg[b]], gluing[b], gluing[tg[a]] = tg[b], a, tg[a], b
+        total = GluedSurface(cover.total.face_count, tuple(gluing))
+        first = min(cd for cd, p in enumerate(gluing)
+                    if proj(p) != surface.gluing[proj(cd)])
         with pytest.raises(SurfaceError, match=f"gluing at cover dart {first}$"):
-            verify_cover(surface, replace(cover, dart_map=tuple(dart_map)))
+            verify_cover(surface, replace(cover, total=total))
 
 
 def test_verify_cover_checks_that_the_sheets_partition_the_total_space():
     surface = random_surface(8, 3)
     cover = canonical_cover(surface)
     comp = cover.components[0]
-    short = replace(comp, sheets=comp.sheets - {max(comp.sheets)})
+    short = replace(comp, faces=comp.faces[:-1])
     cover = replace(cover, components=(short,) + cover.components[1:])
     with pytest.raises(SurfaceError, match="do not partition the 6T total faces"):
         verify_cover(surface, cover)
 
 
 def test_verify_cover_checks_the_sheet_count_of_each_component(pillowcase):
-    # moving a sheet between the two components keeps the partition
+    # moving a face between the two components keeps the partition
     cover = canonical_cover(pillowcase)
     a, b = cover.components
-    moved = max(a.sheets)
-    cover = replace(cover, components=(replace(a, sheets=a.sheets - {moved}),
-                                       replace(b, sheets=b.sheets | {moved})))
+    moved = a.faces[-1]
+    cover = replace(cover, components=(replace(a, faces=a.faces[:-1]),
+                                       replace(b, faces=tuple(sorted(b.faces + (moved,))))))
     with pytest.raises(SurfaceError, match="component 0 has not one sheet per face"):
         verify_cover(pillowcase, cover)
+
+
+def test_verify_cover_checks_that_component_faces_ascend():
+    surface = random_surface(8, 3)
+    cover = canonical_cover(surface)
+    comp = cover.components[0]
+    backwards = replace(comp, faces=comp.faces[::-1])
+    cover = replace(cover, components=(backwards,) + cover.components[1:])
+    with pytest.raises(SurfaceError, match="component 0 faces are not in ascending order"):
+        verify_cover(surface, cover)
+
+
+def _flood_fill(gluing, start):
+    """The faces reachable from face start across glued darts, ascending."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        f = stack.pop()
+        for d in range(3 * f, 3 * f + 3):
+            g = gluing[d] // 3
+            if g not in seen:
+                seen.add(g)
+                stack.append(g)
+    return tuple(sorted(seen))
+
+
+def test_component_faces_match_a_flood_fill(census8, pillowcase):
+    for surface in [pillowcase] + census8[2] + census8[4] + census8[6]:
+        cover = canonical_cover(surface)
+        starts = [min(c.faces) for c in cover.components]
+        assert starts == sorted(starts)
+        for comp in cover.components:
+            assert comp.faces == _flood_fill(cover.total.gluing, min(comp.faces))
+        assert sum(len(c.faces) for c in cover.components) == 6 * surface.face_count
 
 
 def _translation_corpus(census8):
@@ -244,7 +259,7 @@ def test_locally_bounded_base_gives_locally_bounded_cover():
     assert check_tri_lb(bounded).ok
     cover = canonical_cover(bounded)
     report = verify_cover(bounded, cover)
-    assert report.ok and report.locally_bounded_checked
+    assert report.locally_bounded_checked
 
 
 def test_cover_is_natural_under_relabeling():
