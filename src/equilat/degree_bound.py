@@ -17,7 +17,7 @@ th_center_candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import eq, itemgetter
 from typing import Optional, Sequence
 
@@ -530,23 +530,24 @@ def _rings(ix, v: int):
 
 # --- finding TH blocks --------------------------------------------------------
 
-def _th_rings(ix, v: int) -> list:
-    """BFS rings 1, 2, ... around v, while ring 1 holds deg(v) vertices
-    and each later ring twice, or twice plus one, as many as the one before.
+def _th_rings(degree: int, rings) -> list:
+    """The BFS rings 1, 2, ... of a vertex of the given degree, taken from
+    `rings` (see _rings) while ring 1 holds `degree` vertices and each later
+    ring twice, or twice plus one, as many as the one before.
 
     A vertex-injective TH_d centered at v has ring i equal to its layer i,
     counted from the center, since the rest of the surface is reached only
     through its boundary.  So its rings read th_layer_sizes(d) reversed,
     and d is the size of one of these rings past the first.
     """
-    rings = []
-    want = ix.degrees[v]
-    for ring in _rings(ix, v):
-        if len(ring) not in (want, want + bool(rings)):
+    out = []
+    want = degree
+    for ring in rings:
+        if len(ring) not in (want, want + bool(out)):
             break
-        rings.append(ring)
+        out.append(ring)
         want = 2 * len(ring)
-    return rings
+    return out
 
 
 def _th_pattern(d: int, cache: dict) -> tuple:
@@ -587,7 +588,7 @@ def th_center_candidates(surface: GluedSurface) -> dict:
     for v, deg in enumerate(ix.degrees):
         if ix.boundary[v] or not 4 <= deg <= 7:
             continue
-        out[v] = {len(ring) for ring in _th_rings(ix, v)[1:]
+        out[v] = {len(ring) for ring in _th_rings(deg, _rings(ix, v))[1:]
                   if next(_th_walks(surface, v, len(ring), cache), None) is not None}
     return out
 
@@ -606,6 +607,17 @@ def _th_blocks(surface: GluedSurface) -> list:
     vertex of the 4-subdivision, which gains one face when t is odd.
     TH_e sits inside TH_2e around the same center, so each center takes
     its largest such d.  outer[t] is the image of boundary dart t.
+
+    Ring 2 of a center is the second cycle of TH_d from the center, of
+    some size e.  Either it is the boundary, whose vertex t has degree
+    6 + t % 2, or it is an inner cycle, whose vertex t meets four faces
+    of the annulus outside it (five at t = 0 when the cycle outside is
+    odd) and 2 + t % 2 of the one inside.  So ring 2 holds only degrees 6
+    and 7, with e // 2 or e // 2 + 1 of degree 7.  Any other ring 2 rules
+    out every d, and the ring BFS stops there; in a stage-2 surface, full
+    of TH layers and flat 4-subdivided faces, that is nearly every
+    candidate.  th_center_candidates, which runs on any surface, makes no
+    such test.
     """
     ix = surface.index
     degrees = ix.degrees
@@ -614,7 +626,15 @@ def _th_blocks(surface: GluedSurface) -> list:
     for v, deg in enumerate(degrees):
         if not 4 <= deg <= 7:
             continue
-        for ring in reversed(_th_rings(ix, v)[1:]):
+        rings = _rings(ix, v)
+        first = list(islice(rings, 2))
+        if len(first) < 2:
+            continue
+        ring2 = list(map(degrees.__getitem__, first[1]))
+        sevens = ring2.count(7)
+        if ring2.count(6) + sevens != len(ring2) or sevens - len(ring2) // 2 not in (0, 1):
+            continue
+        for ring in reversed(_th_rings(deg, chain(first, rings))[1:]):
             d = len(ring)
             # the boundary test in bulk, before any walk
             if sorted(degrees[u] for u in ring) != [6] * (d - d // 2) + [7] * (d // 2):

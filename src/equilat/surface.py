@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import add, floordiv, lt
+from operator import add, eq, floordiv, itemgetter, lt
 from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -55,15 +55,17 @@ class GluedSurface:
     The combinatorial index is built on first use and cached on the
     instance; it is left out of ==, hash, repr and pickles.
 
-    The constructor checks that the gluing is a fixed-point-free partial
-    involution.  `_trusted` skips that check.  It is used only where the
-    output is valid by construction from an already valid surface:
-    `subdivide`, `conformal_double`, `connected_components`, the
-    cover's total space, the decomposition's cut surface, the census
-    leaves and the coarse surface of a k-coarsening.
-    `load_surface` uses it too, because its line checks, or their bulk
-    form, already prove the same involution.  Everything built from caller data (`relabel`,
-    `surface_from_code`, `replace_stars`) goes through the constructor.
+    The constructor stores the gluing as a tuple and checks, in bulk, that
+    it is a fixed-point-free partial involution of ints; only a gluing that
+    fails is walked dart by dart, to name its first bad dart.  `_trusted`
+    skips that check.  It is used only where the output is valid by
+    construction from an already valid surface: `subdivide`,
+    `conformal_double`, `connected_components`, the cover's total space,
+    the decomposition's cut surface, the census leaves and the coarse
+    surface of a k-coarsening.  `load_surface` uses it too, because its
+    line checks, or their bulk form, already prove the same involution.
+    Everything built from caller data (`relabel`, `surface_from_code`,
+    `replace_stars`) goes through the constructor.
     """
 
     face_count: int
@@ -73,13 +75,31 @@ class GluedSurface:
         T = self.face_count
         if T < 1:
             raise SurfaceError("face count must be positive")
-        g = self.gluing
-        if len(g) != 3 * T:
+        g = tuple(self.gluing)
+        object.__setattr__(self, "gluing", g)
+        n = len(g)
+        if n != 3 * T:
             raise SurfaceError(f"gluing must list all {3 * T} darts")
+        # In bulk: back[d] is g[g[d]], read in g + (-1,) so that an unmatched
+        # dart reads -1; every glued dart must read itself back.  A partner
+        # from n on cannot, and a partner p in -n-1..-2 reads back dart
+        # q = n+1+p, which then reads p back, not q.  A non-int cannot index.
+        darts = tuple(range(n))
+        try:
+            back = itemgetter(*g)(g + (BOUNDARY,))
+        except (IndexError, TypeError):
+            pass
+        else:
+            if ((back == darts or sum(map(eq, back, darts)) == n - g.count(BOUNDARY))
+                    and not any(map(eq, g, darts))):
+                return
+        # the first failing dart, in dart order
         for d, p in enumerate(g):
+            if not isinstance(p, int):
+                raise SurfaceError(f"dart {d}: partner {p!r} is not an int")
             if p == BOUNDARY:
                 continue
-            if not 0 <= p < 3 * T:
+            if not 0 <= p < n:
                 raise SurfaceError(f"dart {d}: partner {p} out of range")
             if p == d:
                 raise SurfaceError(f"dart {d} glued to itself")
@@ -190,7 +210,8 @@ class SurfaceIndex(_IndexScan):
 
     @cached_property
     def vertices(self) -> tuple:
-        return tuple(map(VertexReport._make, zip(
+        # tuple.__new__ is VertexReport._make without its length check
+        return tuple(map(tuple.__new__, repeat(VertexReport), zip(
             range(len(self.degrees)), self.degrees, self.boundary, self.corners)))
 
     def __getstate__(self) -> None:
@@ -332,12 +353,14 @@ def euler_and_genus(surface: GluedSurface) -> SurfaceStats:
     if not surface.is_connected():
         raise SurfaceError("surface is disconnected; split it first")
     T = surface.face_count
-    unmatched = surface.gluing.count(BOUNDARY)
-    matched = 3 * T - unmatched
-    E = matched // 2 + unmatched
+    if surface.is_closed():  # every dart glued in pairs; no boundary cycle
+        E, b = 3 * T // 2, 0
+    else:
+        unmatched = surface.gluing.count(BOUNDARY)
+        E = (3 * T - unmatched) // 2 + unmatched
+        b = len(_boundary_cycles(surface))
     V = len(surface.index.degrees)
     chi = V - E + T
-    b = len(_boundary_cycles(surface))
     genus2 = 2 - chi - b
     if genus2 % 2 != 0 or genus2 < 0:
         raise SurfaceError(f"inconsistent Euler data: chi={chi}, boundary={b}")
@@ -549,15 +572,22 @@ def subdivide(surface: GluedSurface, k: int) -> GluedSurface:
         raise SurfaceError(f"{k}-subdivision of {T} faces exceeds {MAX_FACES} faces")
     inner, sides = _face_subdivision(k)
     n = len(inner)
-    gluing = []
-    for off in range(0, n * T, n):
-        gluing.extend([BOUNDARY if p == BOUNDARY else p + off for p in inner])
-    # sub-edge t of a glued side meets sub-edge k-1-t of its partner side
-    for d, p in enumerate(surface.gluing):
-        if p != BOUNDARY:
-            off, off2 = n * (d // 3), n * (p // 3)
-            for a, b in zip(sides[d % 3], reversed(sides[p % 3])):
-                gluing[off + a] = off2 + b
+    N = n * T
+    # slice passes, as in cover._assemble_total: table dart a of every face
+    # at once
+    gluing = [BOUNDARY] * N
+    for a, b in enumerate(inner):
+        if b != BOUNDARY:
+            gluing[a::n] = range(b, N, n)
+    # sub-edge t of a glued side meets sub-edge k-1-t of its partner side,
+    # dart at[p] for partner dart p; at[-1] leaves the sub-edges of an
+    # unmatched side unmatched
+    for t in range(k):
+        at = [BOUNDARY] * (3 * T + 1)
+        for s in range(3):
+            at[s:3 * T:3] = range(sides[s][k - 1 - t], N, n)
+        for s in range(3):
+            gluing[sides[s][t]::n] = map(at.__getitem__, surface.gluing[s::3])
     return GluedSurface._trusted(T * k * k, tuple(gluing))
 
 

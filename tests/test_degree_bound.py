@@ -28,6 +28,11 @@ from equilat.degree_bound import (
     LbCertificate,
     SeparationReport,
     _compile_pattern,
+    _rings,
+    _th_blocks,
+    _th_pattern,
+    _th_rings,
+    _th_walks,
     _try_coarsening,
     _vertex_injective,
     _walk,
@@ -441,6 +446,51 @@ def test_th_center_candidates_equal_the_unbounded_search(census8):
         assert th_center_candidates(surface) == want
         found += sum(map(len, want.values()))
     assert found > 2 * len(doubles)
+
+
+def _unpruned_th_blocks(surface):
+    """_th_blocks without its ring-2 degree pretest: the ring BFS runs at
+    every vertex of degree 4..7 until the ring sizes stop fitting."""
+    ix = surface.index
+    degrees = ix.degrees
+    cache = {}
+    found = []
+    for v, deg in enumerate(degrees):
+        if not 4 <= deg <= 7:
+            continue
+        for ring in reversed(_th_rings(deg, _rings(ix, v))[1:]):
+            d = len(ring)
+            if sorted(degrees[u] for u in ring) != [6] * (d - d // 2) + [7] * (d // 2):
+                continue
+            bpos = _th_pattern(d, cache)[2]
+            img = next((img for img in _th_walks(surface, v, d, cache)
+                        if all(degrees[ix.corner_vertex[img[p]]] == 6 + t % 2
+                               for t, p in enumerate(bpos))), None)
+            if img is not None:
+                found.append((d, img, [img[p] for p in bpos]))
+                break
+    return found
+
+
+def test_th_block_pretest_keeps_every_block(census8):
+    # stage 2 of every census class up to T=8 (blocks up to TH_24, whose
+    # ring 2 is an inner cycle from d = 16 on) and of larger random
+    # surfaces, with deeper layers
+    surfaces = [s for T in (2, 4, 6, 8) for s in census8[T]]
+    surfaces += [random_surface(T, seed) for T in (20, 40) for seed in (0, 1)]
+    sizes = set()
+    for surface in surfaces:
+        stage1 = subdivide(surface, 4)
+        high = [r for r in vertex_orbits(stage1) if r.degree > 7]
+        stage2 = replace_stars(stage1, [(r.vertex, r.corners) for r in high],
+                               [build_TH(r.degree) for r in high]) if high else stage1
+        got = _th_blocks(stage2)
+        assert got == _unpruned_th_blocks(stage2)
+        assert sorted(d for d, _, _ in got) == sorted(r.degree for r in high)
+        sizes.update(d for d, _, _ in got)
+    # TH_17 and TH_19 put ring 2 inside an odd cycle, so it holds
+    # e // 2 + 1 sevens; TH_33 has four cycles
+    assert {17, 19, 33} <= sizes
 
 
 # --- reference oracles for the compiled matcher ------------------------------

@@ -383,11 +383,73 @@ def test_connected_components_split(hex_torus, pillowcase):
         sorted([canonical_form(hex_torus), canonical_form(pillowcase)])
 
 
+def _per_dart_check(T, gluing):
+    """The constructor's check made dart by dart, over int partners: the
+    message of the first failure, or None for a valid gluing."""
+    if T < 1:
+        return "face count must be positive"
+    if len(gluing) != 3 * T:
+        return f"gluing must list all {3 * T} darts"
+    for d, p in enumerate(gluing):
+        if p == BOUNDARY:
+            continue
+        if not 0 <= p < 3 * T:
+            return f"dart {d}: partner {p} out of range"
+        if p == d:
+            return f"dart {d} glued to itself"
+        if gluing[p] != d:
+            return f"gluing is not an involution at dart {d}"
+    return None
+
+
 def test_gluing_validation():
-    with pytest.raises(SurfaceError):
-        GluedSurface(2, (3, 4, 5, 0, 1, 1))  # not an involution
-    with pytest.raises(SurfaceError):
-        GluedSurface(2, (0, 4, 5, 3, 1, 2))  # fixed point
+    # each check's message, at the first failing dart
+    for T, gluing, message in [
+        (0, (), "face count must be positive"),
+        (2, (3, 4, 5, 0, 1), "gluing must list all 6 darts"),
+        (2, (6, 4, 5, BOUNDARY, 1, 2), "dart 0: partner 6 out of range"),
+        # -2 reads back dart 5, whose partner is dart 2 itself
+        (2, (3, 4, -2, 0, 1, 2), "dart 2: partner -2 out of range"),
+        (2, (0, 4, 5, BOUNDARY, 1, 2), "dart 0 glued to itself"),
+        (2, (3, 4, 5, 0, 1, 1), "gluing is not an involution at dart 2"),
+        (2, (3, 4, 5.0, 0, 1, 2), "dart 2: partner 5.0 is not an int"),
+        (2, (BOUNDARY,) * 5 + ("2",), "dart 5: partner '2' is not an int"),
+        # the first failing dart is named, whatever fails later
+        (2, (6, 4, 5.0, 0, 1, 2), "dart 0: partner 6 out of range"),
+    ]:
+        with pytest.raises(SurfaceError) as err:
+            GluedSurface(T, gluing)
+        assert str(err.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_gluings, st.data())
+def test_bulk_gluing_check_names_the_dart_loop_failure(drawn, data):
+    order, n_pairs = drawn
+    n = len(order)
+    gluing = [BOUNDARY] * n
+    for a, b in zip(order[0:2 * n_pairs:2], order[1:2 * n_pairs:2]):
+        gluing[a], gluing[b] = b, a
+    for _ in range(data.draw(st.integers(0, 3))):
+        d, e = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if data.draw(st.booleans()):
+            gluing[d] = data.draw(st.integers(-n - 2, n + 1))
+        else:
+            gluing[d], gluing[e] = gluing[e], gluing[d]
+    want = _per_dart_check(n // 3, gluing)
+    if want is None:
+        assert GluedSurface(n // 3, tuple(gluing)).gluing == tuple(gluing)
+    else:
+        with pytest.raises(SurfaceError) as err:
+            GluedSurface(n // 3, tuple(gluing))
+        assert str(err.value) == want
+
+
+def test_gluing_is_stored_as_a_tuple(hex_torus):
+    listed = GluedSurface(2, [3, 4, 5, 0, 1, 2])
+    assert type(listed.gluing) is tuple
+    assert listed == hex_torus and hash(listed) == hash(hex_torus)
+    assert GluedSurface(2, iter(hex_torus.gluing)) == hex_torus
 
 
 # --- the cached index against an independent oracle --------------------------
