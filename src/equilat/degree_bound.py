@@ -10,16 +10,17 @@ every vertex of degree > 7, and 3-subdivision; the output has maximum
 degree 7, the same genus, and a coarsening certificate.  recover_original
 inverts it from the output's gluing alone: 3-coarsening, a TH -> TD swap
 at every TH block it finds, and 4-coarsening.  One coarsening serves both
-factors, and one finder of TH blocks serves the inverse and
-th_center_candidates.
+factors: read off the face layout that a subdivision writes where it
+fits, else found by a seeded search.  One finder of TH blocks serves the
+inverse and th_center_candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, itemgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 from equilat.surface import (
     BOUNDARY,
@@ -56,52 +57,54 @@ class TriangulatedDisk:
     boundary_darts: tuple
 
 
-def surface_from_faces(faces: Sequence) -> GluedSurface:
-    """Build a surface from counterclockwise vertex triples.
-
-    Directed edges must be unique; opposite directed edges are glued.
-    """
-    directed = {}
-    for f, tri in enumerate(faces):
-        for s in range(3):
-            key = (tri[s], tri[(s + 1) % 3])
-            if key in directed:
-                raise SurfaceError(f"duplicate directed edge {key}")
-            directed[key] = 3 * f + s
-    gluing = [BOUNDARY] * (3 * len(faces))
-    for (u, v), d in directed.items():
-        p = directed.get((v, u))
-        if p is not None:
-            gluing[d] = p
-    return GluedSurface(len(faces), tuple(gluing))
-
-
 def _layered_disk(sizes) -> TriangulatedDisk:
     """Annuli between cycles of the given sizes, outermost first, closed by
-    a fan around the center.
+    a fan around the center; the gluing is written in closed form.
 
     Annulus TA_i sits between cycles of sizes D = sizes[i-1] and e =
-    sizes[i].  Outer vertex j reaches inner vertex j//2 and, when j is odd,
-    also (j+1)//2 (mod e); the final layer is the fan TD_{sizes[-1]}.
+    sizes[i] = D // 2.  Its faces are D inward ones, j = 0..D-1, with
+    corners outer j, outer j+1 and inner ((j+1)//2) mod e, then e outward
+    ones, t = 0..e-1, with corners inner t+1, inner t and outer 2t+1; the
+    final layer is the fan TD_{sizes[-1]}, face t with corners t, t+1 and
+    the center.  Side s runs from corner s to corner s+1, so:
+
+    - inward j, side 1 meets outward j/2, side 1 when j is even and j/2 <
+      e; otherwise inward (j+1) mod D, side 2;
+    - inward j, side 2 meets outward (j-1)/2, side 2 when j is odd;
+    - outward t, side 0 meets side 0 of face t of the next annulus, or of
+      the fan;
+    - fan t, side 1 meets fan t+1 (mod sizes[-1]), side 2.
+
+    Side 0 of face t < sizes[0] is boundary edge t.  Vertices are numbered
+    by their smallest corner, and the center's corners all lie in the fan,
+    after a corner of every cycle vertex: it is vertex 2 of a plain fan
+    and vertex sum(sizes) otherwise.
     """
-    center = ("c",)
-    faces = []
-    for i in range(1, len(sizes)):
-        D, e = sizes[i - 1], sizes[i]
-        for j in range(D):  # triangles pointing inward, one per outer edge
-            apex = ((j + 1) // 2) % e
-            faces.append(((i - 1, j), (i - 1, (j + 1) % D), (i, apex)))
-        for t in range(e):  # triangles pointing outward, one per inner edge
-            faces.append(((i, (t + 1) % e), (i, t), (i - 1, 2 * t + 1)))
-    last = len(sizes) - 1
-    for t in range(sizes[last]):
-        faces.append(((last, t), (last, (t + 1) % sizes[last]), center))
-    surface = surface_from_faces(faces)
-    # side 0 of face t < d runs (0,t) -> (0,t+1), and the last face's
-    # last corner is the center
-    d = sizes[0]
-    return TriangulatedDisk(surface, surface.index.corner_vertex[-1],
-                            tuple(range(0, 3 * d, 3)))
+    faces = sum(sizes) + sum(sizes[1:])
+    gluing = [BOUNDARY] * (3 * faces)
+
+    def glue(a, b):  # darts a[i] and b[i], over two ranges of equal length
+        gluing[a.start:a.stop:a.step] = b
+        gluing[b.start:b.stop:b.step] = a
+
+    a = 0  # first dart of the current annulus, then of the fan
+    for D, e in zip(sizes, sizes[1:]):
+        b = a + 3 * D  # first outward dart
+        c = b + 3 * e  # first dart of the next layer
+        glue(range(a + 1, a + 6 * e, 6), range(b + 1, c, 3))  # inward 2t side 1
+        glue(range(a + 5, a + 6 * e, 6), range(b + 2, c, 3))  # inward 2t+1 side 2
+        # inward j side 1 with inward j+1 side 2, j odd and j <= D-2, then
+        # the last inward face with the first
+        glue(range(a + 4, a + 3 * D - 4, 6), range(a + 8, b, 6))
+        gluing[b - 2], gluing[a + 2] = a + 2, b - 2
+        glue(range(b, c, 3), range(c, c + 3 * e, 3))  # outward t side 0
+        a = c
+    z = a + 3 * sizes[-1]  # past the fan
+    glue(range(a + 1, z - 2, 3), range(a + 5, z, 3))  # fan t side 1, t+1 side 2
+    gluing[z - 2], gluing[a + 2] = a + 2, z - 2
+    surface = GluedSurface(faces, tuple(gluing))
+    center = sum(sizes) if len(sizes) > 1 else 2
+    return TriangulatedDisk(surface, center, tuple(range(0, 3 * sizes[0], 3)))
 
 
 def build_TD(d: int) -> TriangulatedDisk:
@@ -163,34 +166,37 @@ def _replace_disks(surface: GluedSurface, disks, blocks) -> GluedSurface:
     takes over.  The disks must be face-disjoint, and every outer dart
     glued to a face outside all of them.  Kept faces keep their order and
     the blocks follow, in order.
+
+    renumber[d] is the new number of dart d: its rank among the kept darts,
+    or for an outer dart the block dart that takes over its partner.  A
+    kept dart's partner is kept or an outer dart, so one map through
+    renumber glues every kept dart; of each block, shifted to its offset,
+    only the boundary darts are patched.
     """
-    removed = set()
+    gluing = surface.gluing
+    keep = [True] * len(gluing)
     for faces, _ in disks:
-        removed.update(faces)
-    kept = [f for f in range(surface.face_count) if f not in removed]
-    face_map = {f: i for i, f in enumerate(kept)}
-    gluing = [BOUNDARY] * (3 * len(kept))
-    hole_of = {}  # kept dart across an outer dart -> the block dart it meets
+        for f in faces:
+            keep[3 * f:3 * f + 3] = (False, False, False)
+    renumber = list(accumulate(keep, initial=-1))
+    del renumber[0]
+    renumber.append(BOUNDARY)  # read for an unmatched dart, as renumber[-1]
+    off = keep.count(True)
+    tail = []  # the blocks, in order
     for (_, outer), block in zip(disks, blocks):
-        off = len(gluing)
+        n = block.surface.dart_count
+        shifted = list(range(off, off + n))
+        shifted.append(BOUNDARY)
+        part = list(map(shifted.__getitem__, block.surface.gluing))
         for o, b in zip(outer, block.boundary_darts):
-            hole_of[surface.gluing[o]] = off + b
-        gluing.extend([BOUNDARY if p == BOUNDARY else p + off
-                       for p in block.surface.gluing])
-    for f in kept:
-        for s in range(3):
-            d = 3 * f + s
-            p = surface.gluing[d]
-            if p == BOUNDARY:
-                continue
-            nd = 3 * face_map[f] + s
-            if p // 3 in removed:
-                b = hole_of[d]
-                gluing[nd] = b
-                gluing[b] = nd
-            else:
-                gluing[nd] = 3 * face_map[p // 3] + p % 3
-    return GluedSurface(len(gluing) // 3, tuple(gluing))
+            renumber[o] = off + b
+            p = gluing[o]
+            part[b] = renumber[p] if keep[p] else BOUNDARY
+        tail += part
+        off += n
+    out = list(map(renumber.__getitem__, compress(gluing, keep)))
+    out += tail
+    return GluedSurface(len(out) // 3, tuple(out))
 
 
 def replace_stars(surface: GluedSurface, centers, blocks) -> GluedSurface:
@@ -448,11 +454,63 @@ def _try_coarsening(surface: GluedSurface, seed_dart: int, k: int):
     return coarse, macro_vertices, tuple(owner)
 
 
+def _block_coarsening(surface: GluedSurface, k: int):
+    """The k-coarsening read off the face layout: macro triangle m is faces
+    k^2 m .. k^2 m + k^2 - 1, laid out as in _face_subdivision(k).  Returns
+    what _try_coarsening returns, or None when the gluing does not fit.
+
+    Slice passes check every interior gluing of every block against the
+    table.  Coarse dart c = 3m+s is side s of block m, and the side across
+    it is the one whose first sub-edge meets c's last; its k sub-edges must
+    meet c's in reverse, and it must not be c.  That relation is symmetric,
+    so the coarse gluing is a fixed-point-free involution.  This reads the
+    layout that subdivide writes, and shares no code with it.
+    """
+    inner, sides = _face_subdivision(k)
+    n = len(inner)  # darts per block
+    gluing = surface.gluing
+    N = len(gluing)
+    if N % n:
+        return None
+    for a, b in enumerate(inner):
+        if b != BOUNDARY and gluing[a::n] != tuple(range(b, N, n)):
+            return None
+    C = 3 * (N // n)  # coarse darts
+    sub = []  # sub[t][c]: the dart of sub-edge t of coarse dart c
+    for t in range(k):
+        darts = [0] * C
+        for s in range(3):
+            darts[s::3] = range(sides[s][t], N, n)
+        sub.append(darts)
+    # side_of[d]: the coarse dart whose first sub-edge is d, else -1; the
+    # entry past the end answers for an unmatched partner
+    side_of = [-1] * (N + 1)
+    for s in range(3):
+        side_of[sides[s][0]:N:n] = range(s, C, 3)
+    coarse = list(map(side_of.__getitem__, map(gluing.__getitem__, sub[-1])))
+    if -1 in coarse or any(map(eq, coarse, count())):
+        return None  # a side meets no side's start, or is glued to itself
+    for t in range(k - 1):
+        if (list(map(gluing.__getitem__, sub[t]))
+                != list(map(sub[k - 1 - t].__getitem__, coarse))):
+            return None
+    coarse = GluedSurface._trusted(C // 3, tuple(coarse))
+    cv = surface.index.corner_vertex
+    owner = [0] * surface.face_count
+    for i in range(k * k):
+        owner[i::k * k] = range(C // 3)
+    return coarse, frozenset(map(cv.__getitem__, sub[0])), tuple(owner)
+
+
 def _coarsen(surface: GluedSurface, k: int, reports) -> Optional[tuple]:
-    """The first k-coarsening whose macro vertices hold every vertex of
-    degree != 6, seeded at the corners of the first such vertex (at every
-    dart when there is none); None when no seed gives one."""
+    """A k-coarsening whose macro vertices hold every vertex of degree !=
+    6: the block coarsening when it is one, else the first found seeded
+    at the corners of the first such vertex (at every dart when there is
+    none); None when no seed gives one."""
     neq6 = [r.vertex for r in reports if r.degree != 6]
+    got = _block_coarsening(surface, k)
+    if got is not None and got[1].issuperset(neq6):
+        return got
     seeds = reports[neq6[0]].corners if neq6 else range(surface.dart_count)
     for seed in seeds:
         got = _try_coarsening(surface, seed, k)
@@ -599,6 +657,14 @@ def _vertex_injective(darts, img, pattern_cv, target_cv) -> bool:
     return len(set(vmap.values())) == len(vmap)
 
 
+def _sevens(degrees, ring) -> int:
+    """How many vertices of a ring have degree 7; -1 when one has a degree
+    other than 6 and 7."""
+    near = list(map(degrees.__getitem__, ring))
+    sevens = near.count(7)
+    return sevens if near.count(6) + sevens == len(near) else -1
+
+
 def _th_blocks(surface: GluedSurface) -> list:
     """The TH blocks of a stage-2 surface, as (d, image darts, outer darts).
 
@@ -608,16 +674,19 @@ def _th_blocks(surface: GluedSurface) -> list:
     TH_e sits inside TH_2e around the same center, so each center takes
     its largest such d.  outer[t] is the image of boundary dart t.
 
-    Ring 2 of a center is the second cycle of TH_d from the center, of
-    some size e.  Either it is the boundary, whose vertex t has degree
-    6 + t % 2, or it is an inner cycle, whose vertex t meets four faces
-    of the annulus outside it (five at t = 0 when the cycle outside is
-    odd) and 2 + t % 2 of the one inside.  So ring 2 holds only degrees 6
-    and 7, with e // 2 or e // 2 + 1 of degree 7.  Any other ring 2 rules
-    out every d, and the ring BFS stops there; in a stage-2 surface, full
-    of TH layers and flat 4-subdivided faces, that is nearly every
-    candidate.  th_center_candidates, which runs on any surface, makes no
-    such test.
+    Ring 1 of a center is TH_d's innermost cycle, whose vertex t meets
+    four faces of the annulus outside it (five at t = 0 when the cycle
+    outside is odd) and two of the fan: it holds only degrees 6 and 7,
+    with at most one 7.  Ring 2 is the next cycle out, of some size e.
+    Either it is the boundary, whose vertex t has degree 6 + t % 2, or it
+    is an inner cycle, whose vertex t meets four faces of the annulus
+    outside it (five at t = 0 when that cycle is odd) and 2 + t % 2 of the
+    one inside.  So ring 2 holds only degrees 6 and 7, with e // 2 or
+    e // 2 + 1 of degree 7.  Either ring failing its test rules out every
+    d, and the ring BFS stops there, ring 1 failing before ring 2 is read;
+    in a stage-2 surface, full of TH layers and flat 4-subdivided faces,
+    that is nearly every candidate.  th_center_candidates, which runs on
+    any surface, makes no such test.
     """
     ix = surface.index
     degrees = ix.degrees
@@ -627,14 +696,13 @@ def _th_blocks(surface: GluedSurface) -> list:
         if not 4 <= deg <= 7:
             continue
         rings = _rings(ix, v)
-        first = list(islice(rings, 2))
-        if len(first) < 2:
+        ring1 = next(rings, [])
+        if _sevens(degrees, ring1) not in (0, 1):
             continue
-        ring2 = list(map(degrees.__getitem__, first[1]))
-        sevens = ring2.count(7)
-        if ring2.count(6) + sevens != len(ring2) or sevens - len(ring2) // 2 not in (0, 1):
+        ring2 = next(rings, [])
+        if not ring2 or _sevens(degrees, ring2) - len(ring2) // 2 not in (0, 1):
             continue
-        for ring in reversed(_th_rings(deg, chain(first, rings))[1:]):
+        for ring in reversed(_th_rings(deg, chain((ring1, ring2), rings))[1:]):
             d = len(ring)
             # the boundary test in bulk, before any walk
             if sorted(degrees[u] for u in ring) != [6] * (d - d // 2) + [7] * (d // 2):

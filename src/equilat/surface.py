@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import add, eq, floordiv, itemgetter, lt
+from operator import add, eq, floordiv, index, itemgetter, lt
 from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -55,9 +55,10 @@ class GluedSurface:
     The combinatorial index is built on first use and cached on the
     instance; it is left out of ==, hash, repr and pickles.
 
-    The constructor stores the gluing as a tuple and checks, in bulk, that
-    it is a fixed-point-free partial involution of ints; only a gluing that
-    fails is walked dart by dart, to name its first bad dart.  `_trusted`
+    The constructor stores the gluing as a tuple of ints (a bool or other
+    integer-like partner as its int) and checks, in bulk, that it is a
+    fixed-point-free partial involution; only a gluing that fails is
+    walked dart by dart, to name its first bad dart.  `_trusted`
     skips that check.  It is used only where the output is valid by
     construction from an already valid surface: `subdivide`,
     `conformal_double`, `connected_components`, the cover's total space,
@@ -76,6 +77,10 @@ class GluedSurface:
         if T < 1:
             raise SurfaceError("face count must be positive")
         g = tuple(self.gluing)
+        try:
+            g = tuple(map(index, g))  # a bool or other integer-like as its int
+        except TypeError:
+            pass  # the dart loop below names the first partner that is not an int
         object.__setattr__(self, "gluing", g)
         n = len(g)
         if n != 3 * T:

@@ -27,7 +27,9 @@ from equilat.surface import (
 from equilat.degree_bound import (
     LbCertificate,
     SeparationReport,
+    _block_coarsening,
     _compile_pattern,
+    _replace_disks,
     _rings,
     _th_blocks,
     _th_pattern,
@@ -449,8 +451,9 @@ def test_th_center_candidates_equal_the_unbounded_search(census8):
 
 
 def _unpruned_th_blocks(surface):
-    """_th_blocks without its ring-2 degree pretest: the ring BFS runs at
-    every vertex of degree 4..7 until the ring sizes stop fitting."""
+    """_th_blocks without its ring-1 and ring-2 degree pretests: the ring
+    BFS runs at every vertex of degree 4..7 until the ring sizes stop
+    fitting."""
     ix = surface.index
     degrees = ix.degrees
     cache = {}
@@ -479,6 +482,10 @@ def test_th_block_pretest_keeps_every_block(census8):
     surfaces = [s for T in (2, 4, 6, 8) for s in census8[T]]
     surfaces += [random_surface(T, seed) for T in (20, 40) for seed in (0, 1)]
     sizes = set()
+    # B(S) itself: 3-subdivided blocks, whose rings the pretests also read
+    for T, seed in ((10, 0), (14, 1), (20, 2)):
+        b = bounded_degree_map(random_surface(T, seed)).surface
+        assert _th_blocks(b) == _unpruned_th_blocks(b)
     for surface in surfaces:
         stage1 = subdivide(surface, 4)
         high = [r for r in vertex_orbits(stage1) if r.degree > 7]
@@ -704,3 +711,224 @@ def test_certificate_recovers_stage_two(T, seed):
     sizes = Counter(cert.face_owner)
     assert sorted(sizes) == list(range(cert.coarse.face_count))
     assert set(sizes.values()) == {9}
+
+
+# --- closed-form blocks, the slice star swap and the block coarsening --------
+
+def _surface_from_faces(faces):
+    """Reference construction from counterclockwise vertex triples: the
+    directed edges must be unique, and opposite directed edges are glued."""
+    directed = {}
+    for f, tri in enumerate(faces):
+        for s in range(3):
+            key = (tri[s], tri[(s + 1) % 3])
+            assert key not in directed
+            directed[key] = 3 * f + s
+    gluing = [BOUNDARY] * (3 * len(faces))
+    for (u, v), d in directed.items():
+        p = directed.get((v, u))
+        if p is not None:
+            gluing[d] = p
+    return GluedSurface(len(faces), tuple(gluing))
+
+
+def _reference_layered_disk(sizes):
+    """The layered disk from its vertex triples, and the center's vertex,
+    named by the index: the center is the last face's last corner."""
+    center = ("c",)
+    faces = []
+    for i in range(1, len(sizes)):
+        D, e = sizes[i - 1], sizes[i]
+        for j in range(D):  # inward, one per outer edge
+            faces.append(((i - 1, j), (i - 1, (j + 1) % D), (i, ((j + 1) // 2) % e)))
+        for t in range(e):  # outward, one per inner edge
+            faces.append(((i, (t + 1) % e), (i, t), (i - 1, 2 * t + 1)))
+    last = len(sizes) - 1
+    for t in range(sizes[last]):
+        faces.append(((last, t), (last, (t + 1) % sizes[last]), center))
+    surface = _surface_from_faces(faces)
+    return surface, surface.index.corner_vertex[-1]
+
+
+def test_layered_disks_match_the_vertex_triple_reference():
+    # every d up to 300, then a stride reaching the deepest halving chains
+    # up to d = 1100 (seven annuli from d = 1024 on)
+    sizes = list(range(3, 301)) + list(range(301, 1101, 13)) + [1023, 1024, 1100]
+    for d in sizes:
+        for block, layers in [(build_TD(d), [d])] + ([(build_TH(d), th_layer_sizes(d))]
+                                                      if d >= 8 else []):
+            surface, center = _reference_layered_disk(layers)
+            assert block.surface == surface
+            assert block.center == center == block.surface.index.corner_vertex[-1]
+            assert block.boundary_darts == tuple(range(0, 3 * d, 3))
+
+
+def _reference_replace_disks(surface, disks, blocks):
+    """_replace_disks dart by dart: kept faces renumbered through a dict,
+    each kept dart across an outer dart glued to the block dart there."""
+    removed = set()
+    for faces, _ in disks:
+        removed.update(faces)
+    kept = [f for f in range(surface.face_count) if f not in removed]
+    face_map = {f: i for i, f in enumerate(kept)}
+    gluing = [BOUNDARY] * (3 * len(kept))
+    hole_of = {}
+    for (_, outer), block in zip(disks, blocks):
+        off = len(gluing)
+        for o, b in zip(outer, block.boundary_darts):
+            hole_of[surface.gluing[o]] = off + b
+        gluing.extend([BOUNDARY if p == BOUNDARY else p + off
+                       for p in block.surface.gluing])
+    for f in kept:
+        for s in range(3):
+            d = 3 * f + s
+            p = surface.gluing[d]
+            if p == BOUNDARY:
+                continue
+            nd = 3 * face_map[f] + s
+            if p // 3 in removed:
+                b = hole_of[d]
+                gluing[nd] = b
+                gluing[b] = nd
+            else:
+                gluing[nd] = 3 * face_map[p // 3] + p % 3
+    return GluedSurface(len(gluing) // 3, tuple(gluing))
+
+
+def _star_disks(surface, vertices):
+    """replace_stars' disks at the given vertices: fan faces, outer darts."""
+    corners = [surface.index.corners[v] for v in vertices]
+    return [({c // 3 for c in cs}, [c - 2 if c % 3 == 2 else c + 1 for c in reversed(cs)])
+            for cs in corners]
+
+
+def _touching_stars(surface):
+    """Two embedded, face-disjoint stars of degree > 2 with an edge between
+    their outer darts, or None."""
+    ix = surface.index
+    embedded = [v for v, cs in enumerate(ix.corners)
+                if not ix.boundary[v] and len({c // 3 for c in cs}) == len(cs) > 2]
+    for i, u in enumerate(embedded):
+        for v in embedded[i + 1:]:
+            (fu, ou), (fv, ov) = _star_disks(surface, (u, v))
+            if fu.isdisjoint(fv) and \
+                    {surface.gluing[o] for o in ou} & set(ov) and \
+                    all(surface.gluing[o] // 3 not in fu for o in ou) and \
+                    all(surface.gluing[o] // 3 not in fv for o in ov):
+                return u, v
+    return None
+
+
+def test_replace_disks_matches_a_per_dart_reference(census8):
+    swaps = 0
+    for T in (2, 4, 6, 8):
+        for surface in census8[T]:
+            stage1 = subdivide(surface, 4)
+            high = [v for v, deg in enumerate(stage1.index.degrees) if deg > 7]
+            if not high:
+                continue
+            disks = _star_disks(stage1, high)
+            blocks = [build_TH(stage1.index.degrees[v]) for v in high]
+            stage2 = _replace_disks(stage1, disks, blocks)
+            assert stage2 == _reference_replace_disks(stage1, disks, blocks)
+            assert stage2 == replace_stars(
+                stage1, [(v, stage1.index.corners[v]) for v in high], blocks)
+            # the inverse's swap, TH blocks back to fans
+            found = _th_blocks(stage2)
+            disks = [({x // 3 for x in img[::3]}, outer) for _, img, outer in found]
+            fans = [build_TD(d) for d, _, _ in found]
+            assert _replace_disks(stage2, disks, fans) == \
+                _reference_replace_disks(stage2, disks, fans)
+            swaps += 1
+    assert swaps == 1261  # the classes up to T=8 with a vertex of degree > 7
+    # with boundary: the center of a bordered TH_20 swapped for a fan
+    th = build_TH(20)
+    disks = _star_disks(th.surface, [th.center])
+    fans = [build_TD(th.surface.index.degrees[th.center])]
+    assert _replace_disks(th.surface, disks, fans) == \
+        _reference_replace_disks(th.surface, disks, fans)
+    # two stars whose outer darts meet: both blocks keep that edge unmatched
+    surface, touching = next((s, t) for s in census8[8] for t in [_touching_stars(s)] if t)
+    disks = _star_disks(surface, touching)
+    fans = [build_TD(surface.index.degrees[v]) for v in touching]
+    got = _replace_disks(surface, disks, fans)
+    assert got == _reference_replace_disks(surface, disks, fans)
+    assert not got.is_closed()
+
+
+def test_block_coarsening_reads_subdivisions_back(census8):
+    for T in (2, 4, 6):
+        for surface in census8[T]:
+            for k in (3, 4):
+                sub = subdivide(surface, k)
+                coarse, macro, owner = _block_coarsening(sub, k)
+                assert coarse == surface
+                assert owner == tuple(f // (k * k) for f in range(sub.face_count))
+                # the seeded search from dart 0 claims the same macro
+                # triangles, numbered in its own order
+                assert macro == _try_coarsening(sub, 0, k)[1]
+
+
+def _swap_partners(surface, a, c):
+    """Glue dart a to c's partner and c to a's."""
+    g = list(surface.gluing)
+    b, d = g[a], g[c]
+    g[a], g[d], g[c], g[b] = d, a, b, c
+    return GluedSurface(surface.face_count, tuple(g))
+
+
+def test_block_coarsening_refusals(census8):
+    rng = random.Random(28)
+    # relabelled B(S): only the seeded search finds its coarsening
+    b = bounded_degree_map(random_surface(10, 3)).surface
+    moved = relabel(b, *_relabeling(b.face_count, rng))
+    assert _block_coarsening(b, 3) is not None
+    assert _block_coarsening(moved, 3) is None
+    cert = check_tri_lb(moved)
+    assert cert.ok and cert.coarse.face_count == b.face_count // 9
+    for k in (3, 4):
+        inner, sides = _face_subdivision(k)
+        n = len(inner)
+        sub = subdivide(census8[6][7], k)
+        assert _block_coarsening(sub, k) is not None
+        m = 5 * n  # block 5
+        # an inner gluing swapped with another of the same block
+        a = next(x for x in range(n) if inner[x] != BOUNDARY)
+        c = next(x for x in range(n) if inner[x] not in (BOUNDARY, a) and x != a)
+        assert _block_coarsening(_swap_partners(sub, m + a, m + c), k) is None
+        # the partners of two sub-edges of one side swapped, and of the last
+        # sub-edges of two sides
+        assert _block_coarsening(_swap_partners(sub, m + sides[1][0], m + sides[1][1]), k) is None
+        assert _block_coarsening(_swap_partners(sub, m + sides[0][-1], m + sides[2][-1]), k) is None
+    # a side folded onto itself, and the side across it too: the sub-edges
+    # meet in reverse, so only the fixed-point test refuses it
+    sub = subdivide(census8[6][7], 4)
+    _, sides = _face_subdivision(4)
+    folded = list(sub.gluing)
+    side = [48 * 5 + d for d in sides[1]]
+    for darts in (side, [sub.gluing[d] for d in reversed(side)]):
+        for x, y in ((0, 3), (1, 2)):
+            folded[darts[x]], folded[darts[y]] = darts[y], darts[x]
+    assert _block_coarsening(GluedSurface(sub.face_count, tuple(folded)), 4) is None
+
+
+def test_the_map_is_coarsened_to_its_own_stages(census8, monkeypatch):
+    # check_tri_lb reads B(S)'s 3-coarsening off its layout: stage 2 with
+    # its own labels, and no seeded search
+    seeded = []
+    monkeypatch.setattr(equilat.degree_bound, "_try_coarsening",
+                        lambda *args: seeded.append(args))
+    surfaces = [s for T in (2, 4, 6) for s in census8[T]] + census8[8][::40]
+    surfaces += [random_surface(T, seed) for T in (10, 20) for seed in (0, 1)]
+    starless = 0
+    for surface in surfaces:
+        stage1 = subdivide(surface, 4)
+        high = [v for v, deg in enumerate(stage1.index.degrees) if deg > 7]
+        stage2 = replace_stars(stage1, [(v, stage1.index.corners[v]) for v in high],
+                               [build_TH(stage1.index.degrees[v]) for v in high])
+        b = bounded_degree_map(surface).surface
+        assert check_tri_lb(b).coarse == stage2
+        if not high:
+            assert recover_original(b) == surface
+            starless += 1
+    assert seeded == [] and starless > 10

@@ -452,6 +452,18 @@ def test_gluing_is_stored_as_a_tuple(hex_torus):
     assert GluedSurface(2, iter(hex_torus.gluing)) == hex_torus
 
 
+def test_integer_like_partners_are_stored_as_ints():
+    # a bool partner is stored as its int, so the saved text reads back
+    surface = GluedSurface(2, (True, 0, 5, 4, 3, 2))
+    assert surface.gluing == (1, 0, 5, 4, 3, 2)
+    assert all(type(p) is int for p in surface.gluing)
+    text = save_surface(surface)
+    assert "True" not in text
+    assert load_surface(text) == surface
+    with pytest.raises(SurfaceError, match=r"^dart 0: partner 1\.0 is not an int$"):
+        GluedSurface(2, (1.0, 0, 5, 4, 3, 2))
+
+
 # --- the cached index against an independent oracle --------------------------
 
 def _orbit_oracle(gluing):
